@@ -15,7 +15,6 @@ from repro.core import WhatsUpConfig, WhatsUpSystem
 from repro.core.arraystate import array_state
 from repro.core.profiles import FrozenProfile, ItemProfile, UserProfile
 from repro.core.similarity import (
-    ScoreCache,
     cosine_similarity,
     native_kernel,
     pairwise_wup,
@@ -120,33 +119,13 @@ def _candidate_pool(k, n_items=60, universe=20_000, seed=7):
 @pytest.mark.benchmark(group="micro-batch")
 @pytest.mark.parametrize("pool_size", [16, 64, 256])
 def test_micro_score_candidates_pool(benchmark, pool_size):
-    # the batch kernel across its adaptive dispatch range: 16/64 run the
-    # set-algebra pool loop, 256 crosses into the vectorised numpy pass
+    # pool scoring across pool sizes: one native score_profiles call per
+    # pool, or the set-algebra pool loop when the extension is absent
     owner, _ = _profile_pair(seed=11)
     pool = _candidate_pool(pool_size)
     result = benchmark(score_candidates, owner, pool, "wup")
     assert len(result) == pool_size
     assert all(0.0 <= s <= 1.0 for s in result)
-
-
-@pytest.mark.benchmark(group="micro-batch")
-def test_micro_score_candidates_cache_hot(benchmark):
-    # steady-state merges: every (owner version, candidate version) pair
-    # unchanged since the last cycle -> pure cache service.  This measures
-    # the *Python-tier* cache path, so the native tier (which rescores
-    # instead of consulting the cache) is pinned off for the run.
-    owner, _ = _profile_pair(seed=12)
-    pool = _candidate_pool(64)
-    cache = ScoreCache()
-    with native_kernel(False):
-        score_candidates(owner, pool, "wup", cache=cache)  # warm
-
-        def cached_pool_scores():
-            return score_candidates(owner, pool, "wup", cache=cache)
-
-        result = benchmark(cached_pool_scores)
-    assert len(result) == 64
-    assert cache.hits > 0
 
 
 @pytest.mark.benchmark(group="micro-gossip")

@@ -21,7 +21,7 @@ Each scenario runs once per pipeline tier:
 * **scalar** — per-pair scoring, one-envelope-at-a-time delivery
   (``batch_scoring(False)`` + ``delivery_batching(False)``): the pre-PR-1
   reference semantics;
-* **batch** — vectorised similarity scoring (PR 1) plus the batched
+* **batch** — pool-at-a-time similarity scoring (PR 1) plus the batched
   per-cycle delivery pipeline (PR 2), native kernels off;
 * **native** — the batch stack with the compiled kernels of
   :mod:`repro._native` on top (PR 3's merge scoring+trim and BEEP
@@ -78,7 +78,6 @@ from repro.core import WhatsUpConfig, WhatsUpSystem
 from repro.core.arraystate import array_state
 from repro.core.similarity import (
     batch_scoring,
-    default_score_cache,
     native_available,
     native_kernel,
 )
@@ -250,7 +249,6 @@ def run_mode(
         sharding(n_shards),
         shard_wire(wire),
     ):
-        default_score_cache().clear()
         system = build_system(spec, seed)
         cycles = spec["cycles"]
         t0 = time.perf_counter()
@@ -341,7 +339,6 @@ def check_equivalence(spec: dict, seed: int = BENCH_SEED) -> dict:
             native_kernel(native),
             array_state(arrays),
         ):
-            default_score_cache().clear()
             system = build_system(spec, seed)
             system.engine.run(spec["cycles"])
             states[mode] = _system_state(system)
@@ -377,7 +374,6 @@ def check_shard_determinism(
             array_state(arrays),
             sharding(shards),
         ):
-            default_score_cache().clear()
             system = build_system(spec, seed)
             system.engine.run(spec["cycles"])
             system.run(cycles=0, drain=False)
@@ -447,7 +443,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"[{name}] scalar (pre-PR-equivalent scoring path) ...")
         scalar = run_mode(spec, "scalar")
         print(f"[{name}]   {scalar['cycles_per_sec']} cycles/sec")
-        print(f"[{name}] batch (packed kernel + score cache) ...")
+        print(f"[{name}] batch (set-algebra pool loops) ...")
         batch = run_mode(spec, "batch")
         print(f"[{name}]   {batch['cycles_per_sec']} cycles/sec")
         entry = {
@@ -564,9 +560,6 @@ def main(argv: list[str] | None = None) -> int:
             SCENARIOS["small-survey"], shards=min(2, args.shards)
         )
         print(f"[equivalence]   {report['sharding']}")
-
-    cache = default_score_cache()
-    report["cache"] = {"hits": cache.hits, "misses": cache.misses}
 
     acceptance = {}
     for scenario, target in ACCEPTANCE_TARGETS.items():

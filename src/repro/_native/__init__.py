@@ -1,7 +1,7 @@
 """Optional compiled kernels for the similarity/selection hot loops.
 
-This package hosts the **native tier** of the three-tier similarity
-dispatch (native → numpy → set-algebra, see
+This package hosts the **native tier** of the two-tier similarity
+dispatch (native → set-algebra/scalar, see
 :mod:`repro.core.similarity`): a small C extension, built with cffi from
 :mod:`repro._native.build_native`, that scores packed candidate pools,
 performs the merge trim / argmax selections, and runs the array-state
@@ -11,7 +11,7 @@ The extension is strictly optional:
 
 * when the compiled module is absent (no C toolchain, fresh checkout), the
   loader reports "unavailable" and every caller stays on the pure-Python
-  tiers — the tree imports and passes its test suite without a compiler;
+  tier — the tree imports and passes its test suite without a compiler;
 * ``REPRO_NATIVE=0`` (or :func:`set_native_kernel` /
   :func:`native_kernel`) disables the native tier even when the extension
   is built, which the equivalence tests use to prove all tiers produce
@@ -26,7 +26,7 @@ The descriptor contract (``_nd``)
 
 The profile-scoring kernels never unpack Python containers per call.
 Every packed profile object (:class:`~repro.core.profiles.FrozenProfile`,
-``PackedView``, ``_EphemeralPack``) lazily caches a ``_nd`` tuple::
+``PackedView``) lazily caches a ``_nd`` tuple::
 
     (is_binary, liked_ptr, n_liked, rated_ptr, n_rated, scores_ptr, norm)
 
@@ -67,7 +67,7 @@ touches a ``PyObject`` — the candidate-list scoring loops, and the state
 kernels that move payload references with refcounting (``state_upsert``,
 ``state_select``, ``state_trim_drop``) — re-acquires it via
 ``PyGILState_Ensure`` for exactly the object-touching region.  The
-purely numeric kernels (``rank_topk``, ``argmax_ties``, ``state_oldest``,
+purely numeric kernels (``rank_topk``, ``state_oldest``,
 ``state_find``, ``state_ship``) run GIL-free.  Shard workers are
 separate processes with separate interpreters, so the GIL never couples
 shards; no kernel ever blocks while holding it.
@@ -131,7 +131,7 @@ class NativeKernel:
         :mod:`repro._native.build_native`.  Returns ``None`` when any pool
         member cannot take the native path (missing packed descriptor,
         non-binary profile under a binary fast-path code) — the caller
-        falls back to the numpy / set-algebra tiers.
+        falls back to the set-algebra / scalar tier.
 
         The objects are walked inside C while the GIL is held; ``id()``
         hands over borrowed pointers to objects the caller keeps alive for
@@ -190,7 +190,7 @@ class NativeKernel:
             return None
         return out[:n]
 
-    # -- array-based selection kernels -------------------------------------
+    # -- array-based selection kernel --------------------------------------
 
     def rank_topk(
         self,
@@ -214,13 +214,6 @@ class NativeKernel:
         if kept < 0:
             return None  # pragma: no cover - malloc failure
         return out[:kept]
-
-    def argmax_ties(self, scores: np.ndarray) -> np.ndarray:
-        """Ascending indices of every entry equal to ``scores.max()``."""
-        k = scores.size
-        out = np.empty(k, dtype=np.int64)
-        n = self.lib.whatsup_argmax_ties(self._f64(scores), k, self._i64(out))
-        return out[:n]
 
     # -- array-state plane kernels (ArrayView bookkeeping) -----------------
     #

@@ -30,7 +30,7 @@ it with ``PyGILState_Ensure`` before touching any ``PyObject``:
 * anything unexpected (missing descriptor, non-binary profile where the
   metric's binary fast path is required, out-of-``int64`` ids) makes the
   kernel return ``-1`` with the Python error state cleared, and the
-  caller falls back to the numpy / set-algebra tiers.
+  caller falls back to the set-algebra / scalar tier.
 
 Bitwise-equivalence discipline
 ------------------------------
@@ -39,7 +39,7 @@ Every kernel reproduces the scalar Python metrics *bit for bit*:
 * set intersections are exact integer counts (merge walks over sorted
   arrays — the same sets Python's ``len(a & b)`` measures);
 * weighted sums accumulate in ascending packed-id order, the canonical
-  order shared by the scalar general path and the numpy batch kernel —
+  order of the scalar general path —
   identical addition order means identical IEEE-754 partial sums (a
   binary chooser's explicit dislikes contribute exactly-zero terms,
   which cannot change any partial sum);
@@ -53,7 +53,7 @@ Every kernel reproduces the scalar Python metrics *bit for bit*:
 The build is optional everywhere: ``setup.py`` wires it up only when cffi
 is importable, and :func:`build_inplace` compiles the extension next to the
 package for ``PYTHONPATH=src`` trees.  Without a C toolchain the pure-Python
-tiers keep working (see :mod:`repro._native`).
+tier keeps working (see :mod:`repro._native`).
 
 Build it in place with::
 
@@ -82,7 +82,6 @@ int64_t whatsup_item_argmax(uintptr_t item_obj, uintptr_t profiles_list,
 int64_t whatsup_rank_topk(const double *scores, const int64_t *ts,
     const int64_t *nids, int64_t k, int64_t capacity, int64_t *out);
 
-int64_t whatsup_argmax_ties(const double *scores, int64_t k, int64_t *out);
 
 int64_t whatsup_state_oldest(uintptr_t cols_addr, int64_t stride, int64_t n);
 
@@ -193,9 +192,9 @@ static int resolve_nd_from(PyObject *holder, prof_desc *out)
 }
 
 /* Resolve a profile-like object to its packed descriptor.  Handles the
- * shapes the dispatch can see: FrozenProfile / PackedView /
- * _EphemeralPack (lazy `_nd`, filled by their `_pack()`), and mutable
- * Profile (no `_nd`; `packed()` returns a memoised PackedView). */
+ * shapes the dispatch can see: FrozenProfile / PackedView (lazy `_nd`,
+ * filled by their `_pack()`), and mutable Profile (no `_nd`; `packed()`
+ * returns a memoised PackedView). */
 static int resolve_profile(PyObject *obj, prof_desc *out)
 {
     PyObject *packed;
@@ -449,7 +448,7 @@ done:
     return rc;
 }
 
-/* ---- array-based selection kernels ----------------------------------- */
+/* ---- array-based selection kernel ------------------------------------ */
 
 /* Ranked-trim selection from precomputed aligned arrays (the scores=
  * form of View.trim_ranked): top-`capacity` indices in descending
@@ -473,20 +472,6 @@ int64_t whatsup_rank_topk(const double *scores, const int64_t *ts,
     for (i = 0; i < kept; i++) out[i] = rows[i].idx;
     free(rows);
     return kept;
-}
-
-/* Indices (ascending) of all entries equal to the maximum score. */
-int64_t whatsup_argmax_ties(const double *scores, int64_t k, int64_t *out)
-{
-    int64_t i, n = 0;
-    double best;
-    if (k <= 0) return 0;
-    best = scores[0];
-    for (i = 1; i < k; i++)
-        if (scores[i] > best) best = scores[i];
-    for (i = 0; i < k; i++)
-        if (scores[i] == best) out[n++] = i;
-    return n;
 }
 
 /* ---- array-state plane kernels (ArrayView bookkeeping) --------------- */

@@ -137,6 +137,9 @@ class RunConfig:
         RunConfig.from_env().apply(): ...`` behaves identically to the
         bare environment.
         """
+        from repro.simulation.sharding import _RECOVERY_MODES
+        from repro.simulation.wire import WIRE_TIERS
+
         env = os.environ if environ is None else environ
         return cls(
             batch_sim=env_flag("REPRO_BATCH_SIM", env=env),
@@ -145,9 +148,7 @@ class RunConfig:
             array_state=env_flag("REPRO_ARRAY_STATE", env=env),
             shards=env_int("REPRO_SHARDS", 1, floor=1, env=env),
             shard_shm=env_flag("REPRO_SHARD_SHM", env=env),
-            wire_tier=env_choice(
-                "REPRO_SHARD_WIRE", "delta", ("pickle", "columns", "delta"), env=env
-            ),
+            wire_tier=env_choice("REPRO_SHARD_WIRE", "delta", WIRE_TIERS, env=env),
             pin_cpus=env_flag("REPRO_SHARD_PIN_CPUS", default=False, env=env),
             mailbox_bytes=env_int(
                 "REPRO_SHARD_MAILBOX_BYTES", 1 << 20, floor=64 * 1024, env=env
@@ -155,10 +156,7 @@ class RunConfig:
             intern_cap=env_int("REPRO_SHARD_INTERN_CAP", 20000, floor=256, env=env),
             faults=env_raw("REPRO_FAULTS", env=env).strip() or None,
             recovery=env_choice(
-                "REPRO_SHARD_RECOVERY",
-                "auto",
-                ("off", "restore", "degraded", "auto"),
-                env=env,
+                "REPRO_SHARD_RECOVERY", "auto", _RECOVERY_MODES, env=env
             ),
             checkpoint_every=env_int("REPRO_SHARD_CHECKPOINT", 8, floor=1, env=env),
             degraded_window=env_int("REPRO_SHARD_DEGRADED", 0, floor=0, env=env),

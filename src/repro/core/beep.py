@@ -31,17 +31,11 @@ from repro.core.config import WhatsUpConfig
 from repro.core.news import ItemCopy
 from repro.core.similarity import (
     NATIVE_MIN_PAIRS,
-    VECTOR_MIN_PAIRS,
     MetricFn,
-    PackedPool,
-    ScoreCache,
     batch_scoring_enabled,
-    default_score_cache,
     get_metric,
     metric_name_of,
-    pack_profile,
-    wup_items_vs_pool,
-    wup_pool_vs_item,
+    score_candidates,
 )
 from repro.gossip.views import View, ViewEntry
 
@@ -63,16 +57,12 @@ class BeepForwarder:
         with ``metric(candidate_profile, item_profile)``, i.e. the
         candidate is the "chooser" ``n`` of the asymmetric WUP metric (how
         well the item's community profile matches what the candidate
-        likes).  Registered metrics (name or function) are scored through
-        the vectorised batch kernel; unregistered callables fall back to
-        per-candidate scalar calls.
+        likes).  Registered metrics (name or function) are scored a pool
+        at a time (fused native argmax, else
+        :func:`~repro.core.similarity.score_candidates`); unregistered
+        callables fall back to per-candidate scalar calls.
     rng:
         Target-sampling randomness.
-    cache:
-        Score cache for the batch path (shared process-wide by default).
-        Item profiles mutate along the dissemination path, so only the
-        peer-profile side of each pair is reused; the kernel skips caching
-        for pairs without a stable snapshot identity.
     """
 
     __slots__ = (
@@ -80,13 +70,11 @@ class BeepForwarder:
         "metric",
         "metric_name",
         "rng",
-        "cache",
         "_pool_tag",
         "_pool_view",
         "_pool_entries",
         "_pool_profiles",
         "_pool_binary",
-        "_pool",
     )
 
     def __init__(
@@ -94,31 +82,26 @@ class BeepForwarder:
         config: WhatsUpConfig,
         metric: MetricFn | str,
         rng: np.random.Generator,
-        cache: ScoreCache | None = None,
     ) -> None:
         self.config = config
         self.metric_name = metric_name_of(metric)
         self.metric = get_metric(metric) if isinstance(metric, str) else metric
         self.rng = rng
-        self.cache = cache if cache is not None else default_score_cache()
-        # packed RPS pool, rebuilt only when the view's content changes: a
+        # RPS pool memo, rebuilt only when the view's content changes: a
         # node receiving many disliked items in a cycle scores them all
-        # against the same packed candidate arrays
+        # against the same candidate list
         self._pool_tag: int = -1
         self._pool_view: View | None = None
         self._pool_entries: list[ViewEntry] = []
         self._pool_profiles: list = []
         self._pool_binary: bool = False
-        self._pool: PackedPool | None = None
 
     def __getstate__(self) -> dict:
-        """Serialize protocol state only: no score cache, no pool memo.
+        """Serialize protocol state only: no pool memo.
 
-        The score cache is process-wide shared state (rebound to the
-        receiving process's default cache) and the packed RPS pool is a
-        pure function of the current view content (rebuilt lazily on
-        first use) — dropping both keeps node transfers slim and every
-        outcome bit-identical.
+        The RPS pool memo is a pure function of the current view content
+        (rebuilt lazily on first use) — dropping it keeps node transfers
+        slim and every outcome bit-identical.
         """
         return {
             "config": self.config,
@@ -130,13 +113,11 @@ class BeepForwarder:
     def __setstate__(self, state: dict) -> None:
         for name, value in state.items():
             setattr(self, name, value)
-        self.cache = default_score_cache()
         self._pool_tag = -1
         self._pool_view = None
         self._pool_entries = []
         self._pool_profiles = []
         self._pool_binary = False
-        self._pool = None
 
     def _view_pool(self, rps_view: View) -> list[ViewEntry]:
         """Refresh the memoised pool state for the current view generation."""
@@ -148,7 +129,6 @@ class BeepForwarder:
             self._pool_binary = all(
                 getattr(p, "is_binary", False) for p in self._pool_profiles
             )
-            self._pool = None  # packed arrays rebuilt lazily (large pools)
             self._pool_tag = tag
             self._pool_view = rps_view
         return self._pool_entries
@@ -181,8 +161,7 @@ class BeepForwarder:
         if k == 0:
             return []
         item_profile = copy.profile
-        batch = self.metric_name is not None and batch_scoring_enabled()
-        if batch:
+        if self.metric_name is not None and batch_scoring_enabled():
             # one pass over the memoised pool: the item profile is the
             # candidate side ("c") of the asymmetric metric, the RPS peers
             # the choosers.  Scores come out in stable view order; the
@@ -190,17 +169,15 @@ class BeepForwarder:
             # identical targets from identical rng draws.  On the native
             # tier the paper's fanout of 1 runs fully fused (scoring +
             # argmax + tie detection in one C call over the memoised pool
-            # — same tie set, hence identical rng draws); otherwise tiny
-            # pools use the specialised set-algebra loop and large ones
-            # the packed numpy kernel (amortised per view generation).
+            # — same tie set, hence identical rng draws); every other
+            # shape (f_dislike > 1, jaccard/overlap, a pool member the
+            # kernel cannot resolve) is scored by score_candidates.
             entries = self._view_pool(rps_view)
-            n_entries = len(entries)
             nk = _native()
-            fused_failed = False
             if (
                 nk is not None
                 and k == 1
-                and n_entries >= NATIVE_MIN_PAIRS
+                and len(entries) >= NATIVE_MIN_PAIRS
                 and self._pool_binary
                 and not getattr(item_profile, "is_binary", False)
                 and self.metric_name in ("wup", "cosine")
@@ -217,31 +194,12 @@ class BeepForwarder:
                         else int(tied[int(self.rng.integers(tied.size))])
                     )
                     return [entries[pick].node_id]
-                # a pool member the kernel cannot resolve — a second C
-                # walk of the same pool would fail identically, so stay
-                # on the Python tiers for this call
-                fused_failed = True
-            use_pool = n_entries >= VECTOR_MIN_PAIRS or (
-                n_entries >= NATIVE_MIN_PAIRS
-                and nk is not None
-                and not fused_failed
+            scores = score_candidates(
+                item_profile,
+                self._pool_profiles,
+                self.metric_name,
+                owner_role="c",
             )
-            if (
-                self.metric_name == "wup"
-                and self._pool_binary
-                and not getattr(item_profile, "is_binary", False)
-                and not use_pool
-            ):
-                scores = wup_pool_vs_item(self._pool_profiles, item_profile)
-            else:
-                if self._pool is None:
-                    self._pool = PackedPool(self._pool_profiles)
-                scores = self._pool.score(
-                    pack_profile(item_profile),
-                    self.metric_name,
-                    "c",
-                    allow_native=not fused_failed,
-                )
         else:
             entries = rps_view.entries()
             metric = self.metric
@@ -249,37 +207,19 @@ class BeepForwarder:
         return self._select_targets(entries, scores, k)
 
     def _select_targets(
-        self, entries: list[ViewEntry], scores, k: int
+        self, entries: list[ViewEntry], scores: list[float], k: int
     ) -> list[int]:
-        """Pick the top-*k* node ids from aligned candidate scores.
-
-        Shared by the per-item and batched orientation paths so both make
-        identical picks (and identical RNG draws) from identical scores.
-        """
+        """Pick the top-*k* node ids from aligned candidate scores."""
         if k == 1:
             # the paper's operating point: a single argmax with a uniform
             # draw among exact ties (fresh all-zero profiles stay reachable)
-            if isinstance(scores, np.ndarray):
-                nk = _native()
-                if nk is not None:
-                    # compiled selection; same tie set as the numpy form
-                    # below, hence identical rng draws
-                    tied = nk.argmax_ties(scores)
-                else:
-                    tied = np.flatnonzero(scores == scores.max())
-                pick = (
-                    int(tied[0])
-                    if tied.size == 1
-                    else int(tied[int(self.rng.integers(tied.size))])
-                )
-            else:
-                best = max(scores)
-                tied = [i for i, s in enumerate(scores) if s == best]
-                pick = (
-                    tied[0]
-                    if len(tied) == 1
-                    else tied[int(self.rng.integers(len(tied)))]
-                )
+            best = max(scores)
+            tied = [i for i, s in enumerate(scores) if s == best]
+            pick = (
+                tied[0]
+                if len(tied) == 1
+                else tied[int(self.rng.integers(len(tied)))]
+            )
             return [entries[pick].node_id]
         # ablation fanouts (f_dislike > 1): shuffle for the random
         # tie-break, then take the stable top-k
@@ -337,12 +277,7 @@ class BeepForwarder:
         Equivalent to calling :meth:`forward` once per ``(copy, liked)``
         pair in order, restructured for the batched delivery path:
 
-        * every eligible *disliked* copy is scored against the memoised
-          RPS pool in one fused kernel pass
-          (:func:`~repro.core.similarity.wup_items_vs_pool`) before any
-          target is picked — scoring is pure, so hoisting it cannot move
-          an RNG draw;
-        * target selection, cloning and shipping then run per message in
+        * target selection, cloning and shipping run per message in
           arrival order (identical RNG consumption to the scalar path),
           with the fan-out shipped through
           :meth:`~repro.simulation.engine.CycleEngine.send_fanout`;
@@ -350,45 +285,7 @@ class BeepForwarder:
           hop counts captured before the fan-out advances the original
           copy.
         """
-        config = self.config
-        ttl = config.beep_ttl
-        rps_len = len(rps_view)
-        k_dislike = min(config.f_dislike, rps_len)
-
-        # pass 1 (pure): fused orientation scores for the disliked copies.
-        # Only engaged for genuinely large RPS pools on the numpy tier
-        # (its fixed per-call overhead loses to the memoised set-algebra
-        # loop at the paper's view size of 30, where dislike_targets
-        # already amortises its packed pool per view generation).  On the
-        # native tier this pre-pass is skipped entirely: per-copy
-        # dislike_targets runs the fully fused C argmax against the same
-        # memoised pool, in the same arrival order — same scores, same
-        # rng draws, no batch bookkeeping.
-        scores_for: dict[int, np.ndarray] = {}
-        if k_dislike >= 1 and rps_len >= VECTOR_MIN_PAIRS and _native() is None:
-            pending = [
-                copy
-                for (copy, _via), liked in zip(fresh, liked_flags, strict=True)
-                if not liked and copy.dislikes < ttl
-            ]
-            if (
-                len(pending) >= 2
-                and self.metric_name == "wup"
-                and batch_scoring_enabled()
-            ):
-                self._view_pool(rps_view)
-                if self._pool_binary and not any(
-                    getattr(c.profile, "is_binary", False) for c in pending
-                ):
-                    if self._pool is None:
-                        self._pool = PackedPool(self._pool_profiles)
-                    packs = [pack_profile(c.profile) for c in pending]
-                    arrays = wup_items_vs_pool(self._pool, packs)
-                    scores_for = {
-                        id(c): s for c, s in zip(pending, arrays, strict=True)
-                    }
-
-        # pass 2: selection + shipping in arrival order (scalar semantics)
+        ttl = self.config.beep_ttl
         f_items: list[int] = []
         f_hops: list[int] = []
         f_liked: list[bool] = []
@@ -397,13 +294,7 @@ class BeepForwarder:
             if not liked:
                 if copy.dislikes >= ttl:
                     continue  # line 25/29: TTL reached, drop
-                scores = scores_for.get(id(copy))
-                if scores is not None:
-                    targets = self._select_targets(
-                        self._pool_entries, scores, k_dislike
-                    )
-                else:
-                    targets = self.dislike_targets(rps_view, copy)
+                targets = self.dislike_targets(rps_view, copy)
             else:
                 targets = self.like_targets(wup_view)
             if not targets:

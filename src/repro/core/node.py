@@ -73,7 +73,7 @@ class WhatsUpNode(BaseNode):
         self.opinion = opinion
         self.profile = UserProfile()
         # passing the *registry name* keeps the WUP merge and BEEP
-        # orientation on the vectorised batch kernel + shared score cache
+        # orientation on the pool-at-a-time scoring path
         metric = config.similarity
         self.rps = RpsProtocol(
             node_id,

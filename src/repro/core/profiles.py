@@ -30,17 +30,18 @@ User profiles additionally expose :meth:`UserProfile.snapshot`, a cheap
 immutable copy (memoised per mutation-version) that gossip messages carry,
 mirroring the profile field of view entries in the paper's protocols.
 
-:class:`FrozenProfile` snapshots carry two batching hooks for the vectorised
-similarity kernel (:func:`repro.core.similarity.score_candidates`):
+:class:`FrozenProfile` snapshots carry two hooks for the native scoring
+kernels (:mod:`repro._native`) and the delta wire
+(:mod:`repro.simulation.wire`):
 
 * packed sorted ``uint64`` id arrays (``liked_ids`` / ``rated_ids``) and the
   aligned ``rated_scores`` vector, computed lazily on first access and then
-  reused for every batch scoring pass the snapshot participates in;
+  reused for every kernel pass the snapshot participates in;
 * a process-unique ``uid`` assigned at construction.  Because snapshots are
   memoised per mutation version, ``uid`` identifies one *(profile, version)*
-  state: any ``set``/``remove``/``purge_older_than`` bumps the version, the
-  next snapshot gets a fresh ``uid``, and every score cached under the old
-  ``uid`` becomes unreachable — version-keyed cache invalidation for free.
+  state: any ``set``/``remove``/``purge_older_than`` bumps the version and
+  the next snapshot gets a fresh ``uid`` — the reference key a profile
+  crosses a shard link under.
 
 Item-copy profiles are cloned on every BEEP forward; :meth:`ItemProfile.copy`
 is copy-on-write (the clone shares the backing dicts until its first
@@ -137,13 +138,15 @@ def _native_descriptor(
 class PackedView:
     """Sorted packed arrays of a mutable profile at one mutation version.
 
-    The same layout the batch similarity kernel reads off
+    The same layout the native scoring kernels read off
     :class:`FrozenProfile` snapshots, for profiles that cannot be frozen
     cheaply (live :class:`ItemProfile` copies in BEEP's orientation path).
-    ``uid`` is ``None``: there is no stable identity to cache scores under.
+    ``uid`` is always ``None`` (a mutable profile has no snapshot identity);
+    the slot stays because it is part of the pickled state that crosses
+    shard links.
     ``_nd`` is the native-kernel descriptor, ``None`` until first native
     contact (the compiled kernels call :meth:`_pack` themselves, so the
-    pure-Python tiers never pay for it).
+    pure-Python tier never pays for it).
 
     Instances are memoised per mutation version by :meth:`Profile.packed`
     and *shared across copy-on-write clones* — a disliked item forwarded
@@ -643,7 +646,8 @@ class FrozenProfile:
     the profile's state at send time even if the owner keeps rating items,
     and they precompute the sets and norm the similarity metrics need.
 
-    For the batch similarity kernel the snapshot additionally exposes
+    For the native kernels and the delta wire the snapshot additionally
+    exposes
 
     * :attr:`liked_ids` / :attr:`rated_ids` — sorted ``uint64`` arrays of the
       liked / rated identifiers, and :attr:`rated_scores` — the ``float64``
@@ -652,8 +656,8 @@ class FrozenProfile:
     * :attr:`uid` — a process-unique integer identifying this snapshot, and
       :attr:`version` — the source profile's mutation version.  Together
       with per-version snapshot memoisation, ``uid`` is a version-keyed
-      cache key: a profile mutation produces a new snapshot with a new
-      ``uid``, so scores cached against the old one can never be reused.
+      identity: a profile mutation produces a new snapshot with a new
+      ``uid`` (the delta wire's per-link reference key).
     """
 
     __slots__ = (

@@ -28,10 +28,8 @@ import numpy as np
 from repro._native import kernel as _native
 from repro.core.similarity import (
     MetricFn,
-    ScoreCache,
     _native_pool_code,
     batch_scoring_enabled,
-    default_score_cache,
     get_metric,
     metric_name_of,
     score_candidates,
@@ -81,20 +79,17 @@ class ClusteringProtocol:
     metric:
         Similarity function ``metric(own_profile, candidate_profile)`` used
         to rank candidates, or a registered metric name.  Registered metrics
-        are scored through the vectorised batch kernel
-        (:func:`repro.core.similarity.score_candidates`); unregistered
+        are scored a pool at a time (fused native ``merge_rank``, else
+        :func:`repro.core.similarity.score_candidates`); unregistered
         callables fall back to per-candidate scalar calls.
     rng:
         Dedicated random generator (used only for deterministic tie-breaks
         through shuffling when scores tie exactly).
     address:
         Modelled network address used in descriptors.
-    cache:
-        Score cache for the batch path; defaults to the process-wide shared
-        cache (:func:`repro.core.similarity.default_score_cache`).
     """
 
-    __slots__ = ("node_id", "view", "metric", "metric_name", "rng", "address", "cache")
+    __slots__ = ("node_id", "view", "metric", "metric_name", "rng", "address")
 
     def __init__(
         self,
@@ -103,7 +98,6 @@ class ClusteringProtocol:
         metric: MetricFn | str,
         rng: np.random.Generator,
         address: str | None = None,
-        cache: ScoreCache | None = None,
     ) -> None:
         self.node_id = node_id
         self.view = make_view(view_size, owner_id=node_id)
@@ -115,20 +109,6 @@ class ClusteringProtocol:
             if address is not None
             else f"10.0.{node_id >> 8 & 255}.{node_id & 255}"
         )
-        self.cache = cache if cache is not None else default_score_cache()
-
-    def __getstate__(self) -> dict:
-        """Serialize protocol state without the process-wide score cache."""
-        return {
-            name: getattr(self, name)
-            for name in ClusteringProtocol.__slots__
-            if name != "cache"
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-        self.cache = default_score_cache()
 
     def descriptor(self, profile, now: int) -> ViewEntry:
         """Build this node's own fresh descriptor."""
@@ -229,17 +209,13 @@ class ClusteringProtocol:
 
         Candidate scores use ``metric(own_profile, candidate_profile)`` —
         the owner is the "chooser" ``n`` of the asymmetric metric.  When
-        the metric is registered, the whole pool is scored in one pass
-        through the three-tier dispatch
-        (:func:`~repro.core.similarity.score_candidates`: native C kernel
-        → numpy → set algebra) and the trim selection follows the same
-        dispatch inside :meth:`~repro.gossip.views.View.trim_ranked_aligned`
-        — on the native tier the entire merge inner loop (scoring + trim)
-        runs in compiled code.  Unchanged ``(owner version, candidate
-        version)`` pairs are served from the score cache on the Python
-        tiers (a native rescore is cheaper than the cache's per-pair dict
-        traffic, so the native tier skips it); every tier produces
-        bitwise-identical rankings.
+        the metric is registered, the whole pool is scored in one pass:
+        on the native tier the entire merge inner loop (scoring + trim)
+        runs in compiled code (``merge_rank``); otherwise
+        :func:`~repro.core.similarity.score_candidates` scores the pool
+        (set-algebra loop, else the scalar metric per pair) and
+        :meth:`~repro.gossip.views.View.trim_ranked_aligned` trims.
+        Both tiers produce bitwise-identical rankings.
         """
         view = self.view
         view.upsert_columns(received, received_cols)
@@ -264,7 +240,6 @@ class ClusteringProtocol:
                 profile,
                 [e.profile for e in entries],
                 self.metric_name,
-                cache=self.cache,
             )
             view.trim_ranked_aligned(entries, scores)
         else:

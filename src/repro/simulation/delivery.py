@@ -13,8 +13,8 @@ subsystem that amortises those costs per *cycle* instead:
   (:meth:`repro.simulation.node.BaseNode.receive_items`), which lets WHATSUP
   resolve duplicate suppression with one pass over the batch
   (:func:`split_first_receipts`), apply profile updates in a single sweep,
-  and score every disliked item of the cycle against the same packed RPS
-  pool (:func:`repro.core.similarity.wup_items_vs_pool`).
+  and score every disliked item of the cycle against the same memoised RPS
+  pool (:meth:`repro.core.beep.BeepForwarder.forward_batch`).
 
 The batch path engages only under a lossless unit-delay transport (where no
 per-message loss draws exist) and is **bitwise-identical** to the scalar

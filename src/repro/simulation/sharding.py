@@ -1062,7 +1062,7 @@ def _apply_gates(gates: dict) -> None:
     """Pin the pipeline gates in this process (spawn-start safety)."""
     from repro._native import set_native_kernel
     from repro.core.arraystate import set_array_state
-    from repro.core.similarity import default_score_cache, set_batch_scoring
+    from repro.core.similarity import set_batch_scoring
     from repro.simulation.delivery import set_delivery_batching
 
     set_batch_scoring(gates["batch"])
@@ -1073,10 +1073,6 @@ def _apply_gates(gates: dict) -> None:
     global _INTERN_CAP, _PIN_CPUS
     _INTERN_CAP = gates["intern_cap"]
     _PIN_CPUS = gates["pin"]
-    # start from an empty score cache: fork inherits the parent's, spawn
-    # starts fresh — clearing makes both starts identical (the cache only
-    # avoids recomputation; every score is bit-identical either way)
-    default_score_cache().clear()
 
 
 def _pin_to_cpu(shard: int) -> int | None:

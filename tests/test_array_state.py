@@ -37,7 +37,6 @@ from repro.core.profiles import (
 )
 from repro.core.similarity import (
     batch_scoring,
-    default_score_cache,
     native_available,
     native_kernel,
 )
@@ -404,7 +403,6 @@ class TestEndToEndEquivalence:
     @staticmethod
     def _run(scale, dataset, f_like, cycles, arrays_on, *, churn=None, seed=5):
         with array_state(arrays_on):
-            default_score_cache().clear()
             data = SCALES[scale].dataset(dataset, seed=seed)
             churn_model = (
                 ChurnModel(**churn) if churn is not None else None
@@ -455,7 +453,6 @@ class TestEndToEndEquivalence:
                 native_kernel(native),
                 array_state(arrays_on),
             ):
-                default_score_cache().clear()
                 data = SCALES["small"].dataset("synthetic", seed=9)
                 system = WhatsUpSystem(
                     data, WhatsUpConfig(f_like=6), seed=9
@@ -473,7 +470,6 @@ class TestEndToEndEquivalence:
 
         def run(arrays_on):
             with array_state(arrays_on):
-                default_score_cache().clear()
                 data = SCALES["small"].dataset("survey", seed=13)
                 system = WhatsUpSystem(
                     data, WhatsUpConfig(f_like=8), seed=13

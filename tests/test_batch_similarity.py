@@ -1,15 +1,13 @@
 """Tests for the batch similarity subsystem.
 
-Covers the tentpole guarantees of the vectorised scoring stack:
+Covers the guarantees of the pool scoring stack:
 
 * :func:`repro.core.similarity.score_candidates` matches the scalar metrics
   pairwise — to 1e-12 by requirement, and bitwise in practice — across
-  binary, real-valued, empty and disjoint profiles, both orientations of
-  the asymmetric WUP metric, and both sides of the adaptive scalar/numpy
-  dispatch threshold;
-* the version-keyed :class:`~repro.core.similarity.ScoreCache` serves
-  unchanged pairs and can never serve a stale score after a
-  ``set``/``remove``/``purge_older_than`` version bump;
+  binary, real-valued, empty and disjoint profiles and both orientations
+  of the asymmetric WUP metric (the generated-profile form of this claim
+  is ``test_scoring_tiers_agree_bitwise`` in
+  ``tests/test_property_invariants.py``);
 * ``View.trim_ranked`` with precomputed scores (and the aligned fast path)
   selects exactly what the key-based form selects;
 * a full fixed-seed WhatsUpSystem run produces *identical* view contents
@@ -26,12 +24,8 @@ import pytest
 from repro.core import WhatsUpConfig, WhatsUpSystem
 from repro.core.profiles import FrozenProfile, UserProfile, pack_id_array
 from repro.core.similarity import (
-    CACHE_MIN_OWNER_ENTRIES,
-    VECTOR_MIN_PAIRS,
-    ScoreCache,
     available_metrics,
     batch_scoring,
-    default_score_cache,
     get_metric,
     metric_name_of,
     native_available,
@@ -43,7 +37,7 @@ from repro.core.similarity import (
 from repro.datasets import survey_dataset
 from repro.gossip.views import View, ViewEntry
 from repro.utils.exceptions import ConfigurationError
-from tests.conftest import make_item_profile, make_user_profile
+from tests.conftest import make_item_profile
 
 
 def random_binary_frozen(rng, n_items=40, universe=500) -> FrozenProfile:
@@ -117,35 +111,6 @@ class TestScoreCandidatesEquivalence:
             assert got[2] == fn(a, a)
             assert score_candidates(empty, [a, b], metric) == [0.0, 0.0]
 
-    def test_vectorised_path_matches_scalar(self):
-        # pool large enough to cross the adaptive numpy threshold
-        rng = np.random.default_rng(303)
-        owner = random_binary_frozen(rng, n_items=120, universe=4000)
-        pool = [
-            random_binary_frozen(rng, n_items=100, universe=4000)
-            for _ in range(VECTOR_MIN_PAIRS + 8)
-        ]
-        for metric in available_metrics():
-            fn = get_metric(metric)
-            got = score_candidates(owner, pool, metric)
-            want = [fn(owner, c) for c in pool]
-            assert got == want  # bitwise even through the numpy kernel
-
-    def test_vectorised_real_valued_matches_scalar(self):
-        rng = np.random.default_rng(404)
-        owner = random_real_frozen(rng, n_items=120, universe=3000)
-        pool = [
-            random_real_frozen(rng, n_items=90, universe=3000)
-            for _ in range(VECTOR_MIN_PAIRS + 4)
-        ]
-        for role in ("n", "c"):
-            got = score_candidates(owner, pool, "wup", owner_role=role)
-            want = [
-                wup_similarity(owner, c) if role == "n" else wup_similarity(c, owner)
-                for c in pool
-            ]
-            assert got == want
-
     def test_custom_callable_falls_back_to_pairwise(self):
         calls = []
 
@@ -166,95 +131,6 @@ class TestScoreCandidatesEquivalence:
             score_candidates(owner, [owner], "wup", owner_role="x")
         with pytest.raises(ConfigurationError):
             score_candidates(owner, [owner], "not-a-metric")
-
-
-def big_user_profile(likes, dislikes=()) -> UserProfile:
-    """A user profile large enough to clear the cache's size gate."""
-    profile = make_user_profile(list(likes), dislikes=list(dislikes))
-    for iid in range(9000, 9000 + CACHE_MIN_OWNER_ENTRIES):
-        profile.record_opinion(iid, 0, True)
-    return profile
-
-
-class TestScoreCache:
-    def test_second_call_is_served_from_cache(self):
-        owner = big_user_profile([1, 2, 3]).snapshot()
-        pool = [FrozenProfile({1: 1.0, 5: 1.0}, is_binary=True) for _ in range(6)]
-        cache = ScoreCache()
-        first = score_candidates(owner, pool, "wup", cache=cache)
-        assert cache.misses == 6 and cache.hits == 0
-        second = score_candidates(owner, pool, "wup", cache=cache)
-        assert second == first
-        assert cache.hits == 6 and cache.misses == 6
-
-    @pytest.mark.parametrize("mutation", ["set", "remove", "purge"])
-    def test_owner_version_bump_evicts(self, mutation):
-        profile = big_user_profile([1, 2, 3], dislikes=[4])
-        cand = FrozenProfile({1: 1.0, 2: 1.0, 4: 0.0}, is_binary=True)
-        cache = ScoreCache()
-        before = score_candidates(profile.snapshot(), [cand], "wup", cache=cache)[0]
-        assert before == wup_similarity(profile.snapshot(), cand)
-        assert cache.misses == 1
-
-        if mutation == "set":
-            profile.record_opinion(2, 0, False)  # flip a like to a dislike
-        elif mutation == "remove":
-            profile.remove(1)
-        else:
-            # age out the original entries; fresh ratings keep the profile
-            # above the cache's owner-size gate
-            for iid in range(7000, 7000 + CACHE_MIN_OWNER_ENTRIES):
-                profile.record_opinion(iid, 50, True)
-            assert profile.purge_older_than(25) > 0
-
-        after = score_candidates(profile.snapshot(), [cand], "wup", cache=cache)[0]
-        # a fresh snapshot uid -> the stale entry is unreachable: re-scored
-        assert cache.misses == 2
-        assert after == wup_similarity(profile.snapshot(), cand)
-        assert after != before
-
-    def test_candidate_version_bump_evicts(self):
-        owner_profile = big_user_profile([1, 2, 3])
-        owner = owner_profile.snapshot()
-        cand_profile = UserProfile()
-        cand_profile.record_opinion(1, 0, True)
-        cache = ScoreCache()
-        before = score_candidates(
-            owner, [cand_profile.snapshot()], "wup", cache=cache
-        )[0]
-        cand_profile.record_opinion(2, 0, False)  # version bump
-        after = score_candidates(
-            owner, [cand_profile.snapshot()], "wup", cache=cache
-        )[0]
-        assert cache.misses == 2 and cache.hits == 0
-        assert after == wup_similarity(owner, cand_profile.snapshot())
-        assert after != before
-
-    def test_tiny_owner_profiles_skip_the_cache(self):
-        owner = make_user_profile([1]).snapshot()
-        cand = FrozenProfile({1: 1.0}, is_binary=True)
-        cache = ScoreCache()
-        score_candidates(owner, [cand], "wup", cache=cache)
-        assert cache.hits == 0 and cache.misses == 0 and len(cache) == 0
-
-    def test_eviction_bounds_size(self):
-        cache = ScoreCache(max_entries=40)
-        rng = np.random.default_rng(5)
-        for _ in range(30):
-            owner = random_binary_frozen(rng, n_items=CACHE_MIN_OWNER_ENTRIES + 4)
-            pool = [random_binary_frozen(rng, n_items=8) for _ in range(5)]
-            score_candidates(owner, pool, "wup", cache=cache)
-        assert len(cache) <= 40
-
-    def test_clear(self):
-        cache = ScoreCache()
-        owner = big_user_profile([1]).snapshot()
-        score_candidates(
-            owner, [FrozenProfile({1: 1.0}, is_binary=True)], "wup", cache=cache
-        )
-        assert len(cache) == 1
-        cache.clear()
-        assert len(cache) == 0
 
 
 class TestPackedSnapshots:
@@ -353,7 +229,6 @@ class TestEndToEndEquivalence:
         # the restore-guarded context managers keep a failure here from
         # poisoning the module globals for the rest of the suite
         with batch_scoring(batch), native_kernel(native):
-            default_score_cache().clear()
             dataset = survey_dataset(
                 n_base_users=60, n_base_items=80, publish_cycles=15, seed=5
             )

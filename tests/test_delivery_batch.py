@@ -19,7 +19,6 @@ from repro.core.arraystate import array_state, array_state_enabled
 from repro.core.news import ItemCopy, NewsItem
 from repro.core.similarity import (
     batch_scoring,
-    default_score_cache,
     native_available,
     native_kernel,
 )
@@ -54,7 +53,6 @@ def _restore_batching():
 
 def _run_system(scale: str, dataset: str, f_like: int, cycles: int, batch: bool):
     with delivery_batching(batch):
-        default_score_cache().clear()
         data = SCALES[scale].dataset(dataset, seed=5)
         system = WhatsUpSystem(data, WhatsUpConfig(f_like=f_like), seed=5)
         system.engine.run(cycles)
@@ -126,7 +124,6 @@ class TestChurnEquivalence:
             native_kernel(native),
             array_state(array_state_enabled() if arrays is None else arrays),
         ):
-            default_score_cache().clear()
             data = SCALES["medium"].dataset("survey", seed=11)
             churn = ChurnModel(kill_rate=0.04, rejoin_after=2, start_cycle=3)
             system = WhatsUpSystem(

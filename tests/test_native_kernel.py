@@ -236,11 +236,6 @@ class TestSelectionKernels:
         )
         assert out.tolist() == [r[3] for r in rows[:12]]
 
-    @needs_native
-    def test_argmax_ties(self):
-        s = np.array([0.5, 2.0, 2.0, 1.0, 2.0])
-        assert NK.argmax_ties(s).tolist() == [1, 2, 4]
-
 
 class TestDispatchIntegration:
     @needs_native
@@ -252,6 +247,47 @@ class TestDispatchIntegration:
         with native_kernel(False):
             python_scores = score_candidates(owner, pool, "wup")
         assert native_scores == python_scores
+
+    @needs_native
+    def test_default_stack_is_served_by_the_fused_kernels(self, monkeypatch):
+        """A silent fall-through to the Python tier fails here, not in a bench.
+
+        On ``RunConfig()`` every Vicinity merge must be one ``merge_rank``
+        call and every dislike orientation one ``item_argmax`` call, none
+        declining (``None``), and ``score_candidates`` is never entered.
+        """
+        from repro import _native, api
+        from repro.core import WhatsUpConfig, WhatsUpSystem, beep
+        from repro.datasets import survey_dataset
+        from repro.gossip import vicinity
+
+        served = {"merge_rank": 0, "item_argmax": 0}
+
+        def counting(name):
+            original = getattr(_native.NativeKernel, name)
+
+            def wrapper(self, *args):
+                out = original(self, *args)
+                assert out is not None, f"{name} declined a protocol pool"
+                served[name] += 1
+                return out
+
+            monkeypatch.setattr(_native.NativeKernel, name, wrapper)
+
+        def entered(*_args, **_kwargs):
+            raise AssertionError("score_candidates entered on the default stack")
+
+        counting("merge_rank")
+        counting("item_argmax")
+        monkeypatch.setattr(vicinity, "score_candidates", entered)
+        monkeypatch.setattr(beep, "score_candidates", entered)
+        with api.RunConfig().apply():
+            dataset = survey_dataset(
+                n_base_users=60, n_base_items=80, publish_cycles=8, seed=5
+            )
+            system = WhatsUpSystem(dataset, WhatsUpConfig(f_like=6), seed=5)
+            system.engine.run(12)
+        assert served["merge_rank"] > 0 and served["item_argmax"] > 0
 
     def test_gate_setter_returns_previous(self):
         previous = set_native_kernel(False)

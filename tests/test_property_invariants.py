@@ -1,7 +1,7 @@
 """Property-based invariants (hypothesis).
 
-Two equivalence contracts the array state plane rests on, checked over
-*generated* operation sequences rather than one fixed seed:
+Equivalence contracts the fast paths rest on, checked over *generated*
+inputs rather than one fixed seed:
 
 * **View ↔ ArrayView mirrored ops** — any sequence of upserts, removals,
   evictions and trims leaves the columnar backend observably identical to
@@ -11,6 +11,9 @@ Two equivalence contracts the array state plane rests on, checked over
   :class:`PackedView`, advanced incrementally through the set-op journal,
   always equals the pack a fresh profile would build from scratch after
   the same mutations.
+* **Scoring tiers = scalar metrics** — the fused native kernels and the
+  set-algebra pool loops return the scalar metrics' exact bits for every
+  metric and both orientations.
 
 Profiles: ``HYPOTHESIS_PROFILE=ci`` (CI: 100 examples per property) or the
 default ``dev`` (fast local iteration).
@@ -21,11 +24,21 @@ from __future__ import annotations
 import os
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro._native import load as load_native, native_kernel
 from repro.core.arraystate import array_state
 from repro.core.profiles import FrozenProfile, Profile
+from repro.core.similarity import (
+    _native_pool_code,
+    available_metrics,
+    get_metric,
+    score_candidates,
+    wup_pool_binary,
+    wup_pool_vs_item,
+)
 from repro.gossip.views import ArrayView, View, ViewEntry
+from tests.conftest import make_item_profile
 
 settings.register_profile("ci", max_examples=100, deadline=None)
 settings.register_profile(
@@ -188,6 +201,92 @@ def test_pack_memo_is_version_stable(ops):
         profile = Profile()
         _apply(profile, ops, consume_packs=True)
         assert profile.packed() is profile.packed()
+
+
+# --------------------------------------------------------------------------- #
+# scoring tiers = scalar metrics (ROADMAP item 4c)                            #
+# --------------------------------------------------------------------------- #
+
+_item_ids = st.integers(min_value=0, max_value=24)
+_binary_scores = st.dictionaries(_item_ids, st.sampled_from([0.0, 1.0]), max_size=10)
+_real_scores = st.dictionaries(
+    _item_ids,
+    st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+    max_size=10,
+)
+
+
+@given(
+    owner_scores=_real_scores,
+    owner_is_item=st.booleans(),
+    pool_scores=st.lists(_binary_scores, max_size=12),
+    real_members=st.lists(_real_scores, max_size=2),
+    stamps=st.lists(st.integers(0, 5), min_size=14, max_size=14),
+    capacity=st.integers(min_value=1, max_value=14),
+)
+# empty owner and empty member; a disjoint pool; an all-dislike owner and
+# member; a zero-norm item against likers of its ids
+@example({}, False, [{}, {1: 1.0}], [], [0] * 14, 1)
+@example({1: 1.0, 2: 1.0}, False, [{7: 1.0, 8: 0.0}] * 9, [], [0] * 14, 3)
+@example({1: 0.5, 2: 0.0}, False, [{1: 0.0, 2: 0.0}, {1: 1.0}], [], [0] * 14, 1)
+@example({1: 0.0, 2: 0.0}, True, [{1: 1.0, 2: 1.0}] * 8, [], [0] * 14, 2)
+def test_scoring_tiers_agree_bitwise(
+    owner_scores, owner_is_item, pool_scores, real_members, stamps, capacity
+):
+    """Native kernels == set-algebra loops == scalar metrics, with ``==``.
+
+    The owner is a binary snapshot or a live real-valued item profile (the
+    two shapes the protocols score against); the pool is binary snapshots,
+    optionally with real-valued members the binary kernels must decline.
+    """
+    if owner_is_item:
+        owner = make_item_profile(owner_scores)
+    else:
+        owner = FrozenProfile(
+            {i: float(s > 0.0) for i, s in owner_scores.items()}, is_binary=True
+        )
+    pool = [FrozenProfile(d, is_binary=True) for d in pool_scores]
+    pool += [FrozenProfile(d, is_binary=False) for d in real_members]
+    binary_pool = not real_members
+    entries = [ViewEntry(100 + i, "a", p, stamps[i]) for i, p in enumerate(pool)]
+    nk = load_native()  # None on a checkout without the extension
+
+    for name in available_metrics():
+        fn = get_metric(name)
+        for role in ("n", "c"):
+            want = [fn(owner, c) if role == "n" else fn(c, owner) for c in pool]
+            with native_kernel(False):
+                assert score_candidates(owner, pool, name, owner_role=role) == want
+            with native_kernel(True):
+                assert score_candidates(owner, pool, name, owner_role=role) == want
+            if name == "wup" and binary_pool:
+                if role == "n" and not owner_is_item:
+                    assert wup_pool_binary(owner, pool) == want
+                if role == "c" and owner_is_item:
+                    assert wup_pool_vs_item(pool, owner) == want
+
+            code = _native_pool_code(name, role, not owner_is_item)
+            if nk is None or code is None or not pool:
+                continue
+            got = nk.score_profiles(owner, pool, code)
+            if binary_pool or code in (3, 4):
+                assert got is not None
+            if got is None:
+                continue
+            assert got.tolist() == want
+            if role == "n":
+                if len(pool) <= capacity:
+                    continue  # the merge only ranks a pool it has to trim
+                keep = nk.merge_rank(owner, entries, code, capacity)
+                reference = View(capacity, owner_id=0)
+                reference.upsert_all(entries)
+                with native_kernel(False):
+                    reference.trim_ranked_aligned(entries, want)
+                assert [entries[i].node_id for i in keep] == reference.node_ids()
+            elif code in (5, 6):  # the fused BEEP orientation
+                tied = nk.item_argmax(owner, pool, code)
+                best = max(want)
+                assert tied.tolist() == [i for i, s in enumerate(want) if s == best]
 
 
 # --------------------------------------------------------------------------- #

@@ -447,8 +447,6 @@ def test_frozen_profile_pickle_drops_native_descriptor():
 
 
 def test_node_pickle_drops_engine_hook_and_cache(dataset):
-    from repro.core.similarity import default_score_cache
-
     # needs a live single-process engine so the alive-listener hook is
     # armed on the parent-side node objects
     with sharding(1):
@@ -458,8 +456,7 @@ def test_node_pickle_drops_engine_hook_and_cache(dataset):
     assert node._alive_listener is not None
     clone = pickle.loads(pickle.dumps(node))
     assert clone._alive_listener is None
-    assert clone.beep.cache is default_score_cache()
-    assert clone.wup.cache is default_score_cache()
+    assert clone.beep._pool_view is None  # the RPS pool memo is rebuilt lazily
     assert clone.rps.view.node_ids() == node.rps.view.node_ids()
     assert clone.profile.scores == node.profile.scores
 

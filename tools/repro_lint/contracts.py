@@ -19,9 +19,6 @@ def _default_pickle_safe() -> dict[str, dict[str, tuple[str, ...]]]:
     # file suffix -> {class name: process-local cache attrs the
     # __getstate__/__setstate__ pair must address}
     return {
-        "src/repro/gossip/vicinity.py": {
-            "ClusteringProtocol": ("cache",),
-        },
         "src/repro/gossip/views.py": {
             "ArrayView": ("_cols_addr", "_pobj_addr", "_ids", "_ts", "_wire"),
         },
@@ -33,14 +30,11 @@ def _default_pickle_safe() -> dict[str, dict[str, tuple[str, ...]]]:
             "BaseNode": ("_alive_listener",),
         },
         "src/repro/core/beep.py": {
-            "BeepForwarder": ("cache", "_pool"),
+            "BeepForwarder": ("_pool_view",),
         },
         "src/repro/core/profiles.py": {
             "PackedView": ("_nd",),
             "FrozenProfile": ("_nd",),
-        },
-        "src/repro/core/similarity.py": {
-            "_EphemeralPack": ("_nd",),
         },
     }
 
