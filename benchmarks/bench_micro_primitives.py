@@ -283,38 +283,32 @@ def test_micro_view_oldest(benchmark, plane):
 
 
 @pytest.mark.benchmark(group="micro-bookkeeping")
-@pytest.mark.parametrize("plane", PLANES)
-def test_micro_profile_integrate(benchmark, plane):
+def test_micro_profile_integrate(benchmark):
     # Algorithm 1's addToNewsProfile: fold a liker into the item profile
     # (steady state: every id present -> the averaging path)
-    with array_state(plane == "array"):
-        rng = np.random.default_rng(29)
-        item = ItemProfile()
-        liker = UserProfile()
-        for iid in rng.choice(20_000, size=150, replace=False):
-            item.set(int(iid), 0, float(rng.random()))
-            liker.set(int(iid), 0, float(rng.integers(0, 2)))
-        item.packed()  # array plane: the journal chain rides along
-        benchmark(item.integrate, liker)
-        assert len(item) == 150
+    rng = np.random.default_rng(29)
+    item = ItemProfile()
+    liker = UserProfile()
+    for iid in rng.choice(20_000, size=150, replace=False):
+        item.set(int(iid), 0, float(rng.random()))
+        liker.set(int(iid), 0, float(rng.integers(0, 2)))
+    benchmark(item.integrate, liker)
+    assert len(item) == 150
 
 
 @pytest.mark.benchmark(group="micro-bookkeeping")
-@pytest.mark.parametrize("plane", PLANES)
-def test_micro_profile_snapshot_pack(benchmark, plane):
+def test_micro_profile_snapshot_pack(benchmark):
     # per-opinion profile mutation + scored snapshot: the per-receipt
-    # path (set bumps the version; the snapshot repacks or adopts)
-    with array_state(plane == "array"):
-        rng = np.random.default_rng(37)
-        profile = UserProfile()
-        for iid in rng.choice(20_000, size=200, replace=False):
-            profile.set(int(iid), 0, float(rng.integers(0, 2)))
-        _ = profile.snapshot().rated_ids  # mark the profile as scored
-        target = int(next(iter(profile.scores)))
+    # path (set bumps the version; the next snapshot packs afresh)
+    rng = np.random.default_rng(37)
+    profile = UserProfile()
+    for iid in rng.choice(20_000, size=200, replace=False):
+        profile.set(int(iid), 0, float(rng.integers(0, 2)))
+    target = int(next(iter(profile.scores)))
 
-        def mutate_and_pack():
-            profile.set(target, 1, 1.0)
-            return profile.snapshot().rated_ids
+    def mutate_and_pack():
+        profile.set(target, 1, 1.0)
+        return profile.snapshot().rated_ids
 
-        ids = benchmark(mutate_and_pack)
-        assert ids.size == 200
+    ids = benchmark(mutate_and_pack)
+    assert ids.size == 200

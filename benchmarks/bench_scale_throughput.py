@@ -28,8 +28,8 @@ Each scenario runs once per pipeline tier:
   fan-out in C), on the *legacy* dict/NamedTuple state structures.
   Skipped with a note when the extension is not built;
 * **array** — the full stack on the array-backed state plane (PR 4:
-  columnar views + journaled packed profiles + the state bookkeeping
-  kernels, ``REPRO_ARRAY_STATE``);
+  columnar views + the state bookkeeping kernels,
+  ``REPRO_ARRAY_STATE``);
 * **sharded** — the array stack with the cycle loop process-sharded
   across ``--shards`` workers (PR 5's ``repro.simulation.sharding``:
   shared-memory state arenas + columnar shard-boundary mailboxes,
@@ -37,9 +37,9 @@ Each scenario runs once per pipeline tier:
   ``sharded_cps`` — on boxes with fewer cores than shards the workers
   time-slice and the number measures overhead, not scale-out.  The
   sharded section additionally sweeps the cross-shard mailbox encoding
-  (PR 7's ``repro.simulation.wire``: ``pickle`` / ``columns`` /
-  ``delta``), recording bytes/cycle and cps per tier plus the delta
-  wire's reduction against the committed PR 6 pickle-wire baseline —
+  (PR 7's ``repro.simulation.wire``: ``pickle`` / ``delta``), recording
+  bytes/cycle and cps per tier plus the delta wire's reduction against
+  the committed PR 6 pickle-wire baseline —
   byte counts are deterministic per configuration, so that acceptance
   is host-independent.
 
@@ -189,9 +189,9 @@ WIRE_ACCEPTANCE_TARGETS = {
     "medium-synthetic": 4.0,
 }
 
-#: wire tiers swept in the sharded section, heaviest first (the default
-#: engine tier, ``delta``, is the main sharded run itself)
-WIRE_SWEEP_TIERS = ("pickle", "columns")
+#: wire tiers swept in the sharded section (the default engine tier,
+#: ``delta``, is the main sharded run itself)
+WIRE_SWEEP_TIERS = ("pickle",)
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_scale_throughput.json"
 

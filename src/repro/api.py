@@ -68,16 +68,12 @@ class RunConfig:
     shards: int = 1
     #: shared-memory arenas/mailboxes between shards (``REPRO_SHARD_SHM``)
     shard_shm: bool = True
-    #: cross-shard mailbox encoding: ``pickle`` | ``columns`` | ``delta``
+    #: cross-shard mailbox encoding: ``pickle`` | ``delta``
     #: (``REPRO_SHARD_WIRE``)
     wire_tier: str = "delta"
     #: pin each worker to one CPU on multi-core hosts
     #: (``REPRO_SHARD_PIN_CPUS``)
     pin_cpus: bool = False
-    #: per-link mailbox segment bytes (``REPRO_SHARD_MAILBOX_BYTES``)
-    mailbox_bytes: int = 1 << 20
-    #: per-link codec-table bound (``REPRO_SHARD_INTERN_CAP``)
-    intern_cap: int = 20000
 
     # -- fault plane / supervision ---------------------------------------- #
     #: fault schedule spec (DSL/JSON/path), or ``None`` (``REPRO_FAULTS``)
@@ -150,10 +146,6 @@ class RunConfig:
             shard_shm=env_flag("REPRO_SHARD_SHM", env=env),
             wire_tier=env_choice("REPRO_SHARD_WIRE", "delta", WIRE_TIERS, env=env),
             pin_cpus=env_flag("REPRO_SHARD_PIN_CPUS", default=False, env=env),
-            mailbox_bytes=env_int(
-                "REPRO_SHARD_MAILBOX_BYTES", 1 << 20, floor=64 * 1024, env=env
-            ),
-            intern_cap=env_int("REPRO_SHARD_INTERN_CAP", 20000, floor=256, env=env),
             faults=env_raw("REPRO_FAULTS", env=env).strip() or None,
             recovery=env_choice(
                 "REPRO_SHARD_RECOVERY", "auto", _RECOVERY_MODES, env=env
@@ -188,8 +180,6 @@ class RunConfig:
             "REPRO_SHARD_SHM": "1" if self.shard_shm else "0",
             "REPRO_SHARD_WIRE": self.wire_tier,
             "REPRO_SHARD_PIN_CPUS": "1" if self.pin_cpus else "0",
-            "REPRO_SHARD_MAILBOX_BYTES": str(self.mailbox_bytes),
-            "REPRO_SHARD_INTERN_CAP": str(self.intern_cap),
             "REPRO_SHARD_RECOVERY": self.recovery,
             "REPRO_SHARD_CHECKPOINT": str(self.checkpoint_every),
             "REPRO_SHARD_DEGRADED": str(self.degraded_window),
@@ -252,8 +242,6 @@ class RunConfig:
                 (
                     lambda prev: set_shard_knobs(**prev),
                     set_shard_knobs(
-                        mailbox_bytes=self.mailbox_bytes,
-                        intern_cap=self.intern_cap,
                         pin_cpus=self.pin_cpus,
                         recovery=self.recovery,
                         checkpoint_every=self.checkpoint_every,

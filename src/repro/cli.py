@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--wire-tier",
         default=None,
-        choices=("pickle", "columns", "delta"),
+        choices=("pickle", "delta"),
         help="cross-shard mailbox encoding (default delta; "
         "also settable via REPRO_SHARD_WIRE)",
     )

@@ -1,22 +1,26 @@
-"""The array-state gate: columnar node state vs the legacy structures.
+"""The array-state gate: columnar view store vs the dict view store.
 
-The array-backed state plane (:class:`repro.gossip.views.ArrayView`
-columns, the incremental packed-profile mutation path in
-:mod:`repro.core.profiles`) produces **bitwise-identical** outcomes to the
-legacy dict/NamedTuple structures at fixed seeds — same RNG draws, same
-view contents and order, same packed arrays, same traffic bytes.  The gate
-exists for the equivalence tests, the CI legacy leg and debugging, exactly
-like the sibling gates (``repro.core.similarity.batch_scoring``,
+The gate decides one thing: which view store
+:func:`repro.gossip.views.make_view` builds — the columnar
+:class:`~repro.gossip.views.ArrayView` (on, the default) or the
+dict/NamedTuple :class:`~repro.gossip.views.View` (``REPRO_ARRAY_STATE=0``).
+Under ``REPRO_SHARDS>1`` the shard engine maps a view arena only when
+there are column blocks to put in it.  Profiles and their packed arrays
+are the same on both settings.
+
+Both stores produce **bitwise-identical** outcomes at fixed seeds — same
+RNG draws, same view contents and order, same traffic bytes.  The gate
+exists for the equivalence tests, the CI dict-view-store leg and
+debugging, exactly like the sibling gates
+(``repro.core.similarity.batch_scoring``,
 ``repro.simulation.delivery.delivery_batching``,
 ``repro._native.native_kernel``).
 
-``REPRO_ARRAY_STATE=0`` restores the legacy structures everywhere.  The
-gate is consulted when state is *created* (view construction, profile
-snapshot/pack maintenance), so toggling it mid-run changes how new state
-is laid out without invalidating existing objects — both layouts implement
-the same facade and interoperate.  For apples-to-apples runs, construct
-and run each system entirely inside one :func:`array_state` block, as the
-equivalence tests do.
+The gate is consulted when a view is *constructed*, so toggling it
+mid-run changes how new views are laid out without invalidating existing
+ones — both stores implement the same facade and interoperate.  For
+apples-to-apples runs, construct and run each system entirely inside one
+:func:`array_state` block, as the equivalence tests do.
 
 Column layout and ownership
 ---------------------------
@@ -51,11 +55,10 @@ follow:
   shard arena is a bump allocator without ``free``); correctness never
   depends on residency, only the zero-copy read path does.
 
-Packed profile columns (sorted ``uint64`` ids + ``float64`` scores with
-the set-op journal) reallocate on every applied mutation batch and are
-therefore **never** mapped into shared memory — the measured design
-trade-offs live in ``PERFORMANCE.md`` (section "Process-sharded
-cycles").
+Packed profile columns (sorted ``uint64`` ids + ``float64`` scores) are
+reallocated whenever a mutated profile is packed again and are therefore
+**never** mapped into shared memory — the measured design trade-offs live
+in ``PERFORMANCE.md`` (section "Process-sharded cycles").
 """
 
 from __future__ import annotations
@@ -74,12 +77,12 @@ _array_enabled = env_flag("REPRO_ARRAY_STATE")
 
 
 def array_state_enabled() -> bool:
-    """Whether the array-backed state plane is active."""
+    """Whether new views are built on the columnar store."""
     return _array_enabled
 
 
 def set_array_state(enabled: bool) -> bool:
-    """Enable/disable the array state plane; returns the previous setting.
+    """Select the columnar view store; returns the previous setting.
 
     Prefer the :func:`array_state` context manager outside hot paths — it
     restores the previous setting even when the guarded block raises.

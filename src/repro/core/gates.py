@@ -10,8 +10,8 @@ same spellings, floors, and invalid-value fallbacks.
 
 Parse rules (shared with ``RunConfig.from_env``):
 
-* **flags** — any of ``0``/``false``/``no``/``off`` (case-insensitive)
-  disables, everything else enables;
+* **flags** — any of ``0``/``false``/``no``/``off`` (case-insensitive,
+  surrounding whitespace ignored) disables, everything else enables;
 * **ints/floats** — parsed with an optional floor (``max(floor, value)``)
   and an invalid-value fallback to the default, so a typo in the
   environment selects the documented default instead of crashing an
@@ -56,7 +56,7 @@ def env_flag(
 ) -> bool:
     """Parse a boolean gate: off iff the value is a disabled word."""
     raw = _mapping(env).get(name, "1" if default else "0")
-    return raw.lower() not in DISABLED_WORDS
+    return raw.strip().lower() not in DISABLED_WORDS
 
 
 def env_int(

@@ -47,6 +47,12 @@ Item-copy profiles are cloned on every BEEP forward; :meth:`ItemProfile.copy`
 is copy-on-write (the clone shares the backing dicts until its first
 mutation), which skips the dict copies entirely for the common
 receive-dislike-forward path that never edits the profile.
+
+Packed arrays follow one discipline: a pack is a function of the score dict
+at one mutation version.  :meth:`Profile.packed` memoises it keyed by
+version and rebuilds it from the dicts when stale, a :class:`FrozenProfile`
+packs on first access, and a copy-on-write clone shares its source's memo
+when that memo is current.  Mutators never touch the arrays.
 """
 
 from __future__ import annotations
@@ -58,8 +64,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.arraystate import array_state_enabled
-
 __all__ = [
     "ProfileEntry",
     "PackedView",
@@ -70,17 +74,6 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-
-#: Minimum packed-array size for the *incremental* pack-maintenance path
-#: (array state plane): below it a fresh ``fromiter`` + ``argsort`` rebuild
-#: is cheaper than per-mutation sorted inserts, so small profiles keep the
-#: lazy-invalidate discipline.
-_PACK_INCREMENTAL_MIN = 24
-
-#: Cap on the pending set-op journal: a profile mutated this many times
-#: without a pack consumption is cheaper to rebuild than to merge, so the
-#: chain is dropped instead of journaling without bound.
-_PACK_PENDING_MAX = 48
 
 
 def pack_id_array(ids: Iterable[int], count: int) -> np.ndarray:
@@ -99,6 +92,23 @@ def pack_id_array(ids: Iterable[int], count: int) -> np.ndarray:
         return np.fromiter(
             ((iid & _MASK64) for iid in ids), dtype=np.uint64, count=count
         )
+
+
+def _sorted_columns(
+    scores: dict[int, float],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(liked_ids, rated_ids, rated_scores)`` of *scores*, ids ascending.
+
+    The one from-scratch pack build: every packed array in this module is
+    made here, from a score dict, and never edited afterwards.
+    """
+    n = len(scores)
+    ids = pack_id_array(scores.keys(), n)
+    vals = np.fromiter(scores.values(), dtype=np.float64, count=n)
+    order = np.argsort(ids)
+    ids = ids[order]
+    vals = vals[order]
+    return ids[vals > 0.0], ids, vals
 
 
 class ProfileEntry(NamedTuple):
@@ -165,14 +175,9 @@ class PackedView:
     )
 
     def __init__(self, profile: "Profile") -> None:
-        scores = profile._scores
-        n = len(scores)
-        ids = pack_id_array(scores.keys(), n)
-        vals = np.fromiter(scores.values(), dtype=np.float64, count=n)
-        order = np.argsort(ids)
-        self.rated_ids = ids[order]
-        self.rated_scores = vals[order]
-        self.liked_ids = self.rated_ids[self.rated_scores > 0.0]
+        self.liked_ids, self.rated_ids, self.rated_scores = _sorted_columns(
+            profile._scores
+        )
         self.norm = profile.norm
         self.is_binary = profile.is_binary
         self.uid = None
@@ -203,157 +208,6 @@ class PackedView:
             setattr(self, name, value)
 
 
-def _derived_pack(
-    ids: np.ndarray, vals: np.ndarray, norm: float, is_binary: bool
-) -> PackedView:
-    """A :class:`PackedView` over already-sorted derived columns.
-
-    The incremental pack-maintenance path (array state plane) builds the
-    next version's arrays from the previous version's instead of
-    re-iterating the dicts and re-sorting; this wraps them without the
-    constructor's rebuild.  The arrays are value-identical to a fresh
-    :class:`PackedView` build by construction — the same sorted ids, the
-    same IEEE-754 score arithmetic — which the array-state parity tests
-    assert element for element.
-    """
-    pack = PackedView.__new__(PackedView)
-    pack.rated_ids = ids
-    pack.rated_scores = vals
-    pack.liked_ids = ids[vals > 0.0]
-    pack.norm = norm
-    pack.is_binary = is_binary
-    pack.uid = None
-    pack._nd = None
-    return pack
-
-
-def _sorted_merge_insert(
-    a_ids: np.ndarray,
-    a_vals: np.ndarray,
-    pos: np.ndarray,
-    b_ids: np.ndarray,
-    b_vals: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Insert sorted *b* rows into sorted *a* at searchsorted positions.
-
-    The manual form of ``np.insert`` — a target-index scatter plus two
-    masked copies — which beats ``np.insert``'s generic machinery by an
-    order of magnitude at profile sizes.
-    """
-    k = pos.size
-    n_new = a_ids.size + k
-    target = pos + np.arange(k)
-    mask = np.ones(n_new, dtype=bool)
-    mask[target] = False
-    new_ids = np.empty(n_new, dtype=np.uint64)
-    new_vals = np.empty(n_new, dtype=np.float64)
-    new_ids[target] = b_ids
-    new_vals[target] = b_vals
-    new_ids[mask] = a_ids
-    new_vals[mask] = a_vals
-    return new_ids, new_vals
-
-
-def _pack_apply_sets(
-    pack: PackedView, pending: list, norm: float, is_binary: bool
-) -> PackedView:
-    """The pack after a batch of ``set`` ops: one sorted-merge pass.
-
-    *pending* is the profile's ``(item_id, score)`` op journal since the
-    pack's version, in application order (later ops win).  Never mutates
-    *pack*'s arrays — copy-on-write clones and adopted snapshots may
-    share them.
-    """
-    last: dict[int, float] = {}
-    for iid, s in pending:
-        last[iid & _MASK64] = s
-    m = len(last)
-    keys = np.fromiter(last.keys(), dtype=np.uint64, count=m)
-    svals = np.fromiter(last.values(), dtype=np.float64, count=m)
-    order = np.argsort(keys)
-    keys = keys[order]
-    svals = svals[order]
-    a_ids = pack.rated_ids
-    a_vals = pack.rated_scores
-    if a_ids.size == 0:
-        return _derived_pack(keys, svals, norm, is_binary)
-    pos = np.searchsorted(a_ids, keys)
-    clipped = np.minimum(pos, a_ids.size - 1)
-    present = (pos < a_ids.size) & (a_ids[clipped] == keys)
-    vals = a_vals.copy()
-    vals[pos[present]] = svals[present]
-    fresh = ~present
-    if not fresh.any():
-        return _derived_pack(a_ids, vals, norm, is_binary)
-    new_ids, new_vals = _sorted_merge_insert(
-        a_ids, vals, pos[fresh], keys[fresh], svals[fresh]
-    )
-    return _derived_pack(new_ids, new_vals, norm, is_binary)
-
-
-def _pack_with_remove(
-    pack: PackedView, item_id: int, norm: float, is_binary: bool
-) -> PackedView:
-    """The pack after one ``remove(item_id)`` (the id must be present)."""
-    key = np.uint64(item_id & _MASK64)
-    ids = pack.rated_ids
-    vals_old = pack.rated_scores
-    pos = int(np.searchsorted(ids, key))
-    n = ids.size
-    new_ids = np.empty(n - 1, dtype=np.uint64)
-    new_vals = np.empty(n - 1, dtype=np.float64)
-    new_ids[:pos] = ids[:pos]
-    new_vals[:pos] = vals_old[:pos]
-    new_ids[pos:] = ids[pos + 1 :]
-    new_vals[pos:] = vals_old[pos + 1 :]
-    return _derived_pack(new_ids, new_vals, norm, is_binary)
-
-
-def _pack_without_ids(
-    pack: PackedView, removed: list, norm: float, is_binary: bool
-) -> PackedView:
-    """The pack after a window purge dropped *removed* (one mask pass)."""
-    rm = pack_id_array(removed, len(removed))
-    keep = ~np.isin(pack.rated_ids, rm)
-    return _derived_pack(
-        pack.rated_ids[keep], pack.rated_scores[keep], norm, is_binary
-    )
-
-
-def _pack_with_integrate(
-    pack: PackedView, user_pack: PackedView, norm: float
-) -> PackedView:
-    """The item pack after folding in a user profile (sorted array merge).
-
-    Replicates ``ItemProfile.integrate``'s arithmetic exactly: ids present
-    on both sides average as ``(existing + s_n) / 2.0`` (the same single
-    IEEE-754 add + divide the dict loop performs), new ids insert the
-    user's score, and the merged id column stays sorted.
-    """
-    a_ids, a_vals = pack.rated_ids, pack.rated_scores
-    b_ids, b_vals = user_pack.rated_ids, user_pack.rated_scores
-    if b_ids.size == 0:
-        return _derived_pack(a_ids, a_vals, norm, False)
-    if a_ids.size == 0:
-        return _derived_pack(b_ids, b_vals, norm, False)
-    pos = np.searchsorted(a_ids, b_ids)
-    clipped = np.minimum(pos, a_ids.size - 1)
-    both = (pos < a_ids.size) & (a_ids[clipped] == b_ids)
-    if both.any():
-        vals = a_vals.copy()
-        hit = pos[both]
-        vals[hit] = (a_vals[hit] + b_vals[both]) / 2.0
-    else:
-        vals = a_vals
-    fresh = ~both
-    if fresh.any():
-        new_ids, new_vals = _sorted_merge_insert(
-            a_ids, vals, pos[fresh], b_ids[fresh], b_vals[fresh]
-        )
-        return _derived_pack(new_ids, new_vals, norm, False)
-    return _derived_pack(a_ids, vals, norm, False)
-
-
 class Profile:
     """Mutable mapping from item identifier to ``(timestamp, score)``.
 
@@ -370,7 +224,6 @@ class Profile:
         "_min_ts",
         "_shared",
         "_pack_memo",
-        "_pack_pending",
     )
 
     #: Whether scores are guaranteed binary (0/1).  Similarity metrics use
@@ -387,11 +240,6 @@ class Profile:
         self._shared: bool = False
         #: version-keyed :class:`PackedView` memo (``(version, pack)``)
         self._pack_memo: tuple[int, PackedView] | None = None
-        #: journal of ``(item_id, score)`` set-ops since the memo's
-        #: version (array state plane): applied in one vectorised merge
-        #: by :meth:`_pack_current` on next pack consumption.  ``None``
-        #: when no chain is being maintained.
-        self._pack_pending: list | None = None
         for entry in entries:
             self.set(entry.item_id, entry.timestamp, entry.score)
 
@@ -409,18 +257,9 @@ class Profile:
 
         A profile holds a single entry per identifier (Section II-B); setting
         an existing identifier overwrites its timestamp and score.
-
-        On the array state plane a maintained packed memo is carried
-        forward by *journaling* the op (one list append here); the next
-        pack consumption applies the journal in a single vectorised
-        sorted merge (:meth:`_pack_current`) instead of rebuilding — the
-        dicts stay the canonical store, the arrays a value-identical
-        derivation.
         """
         if self._shared:
             self._detach()
-        memo = self._pack_memo
-        pend = self._pack_pending
         old = self._scores.get(item_id)
         if old is not None:
             self._norm2 -= old * old
@@ -434,22 +273,11 @@ class Profile:
         if timestamp < self._min_ts:
             self._min_ts = timestamp
         self._version += 1
-        if (
-            pend is not None
-            and memo is not None
-            and memo[0] + len(pend) == self._version - 1
-            and len(pend) < _PACK_PENDING_MAX
-            and array_state_enabled()
-        ):
-            pend.append((item_id, score))
-        elif pend is not None:
-            self._pack_pending = None  # chain broken: back to lazy rebuilds
 
     def remove(self, item_id: int) -> None:
         """Drop the entry for *item_id* (no-op if absent)."""
         if self._shared:
             self._detach()
-        pack = self._pack_current() if array_state_enabled() else None
         old = self._scores.pop(item_id, None)
         if old is None:
             return
@@ -460,12 +288,6 @@ class Profile:
         if old > 0.0:
             self._liked.discard(item_id)
         self._version += 1
-        if pack is not None and pack.rated_ids.size >= _PACK_INCREMENTAL_MIN:
-            self._pack_memo = (
-                self._version,
-                _pack_with_remove(pack, item_id, self.norm, self.is_binary),
-            )
-            self._pack_pending = []
 
     def purge_older_than(self, cutoff: int) -> int:
         """Remove all entries with ``timestamp < cutoff``.
@@ -482,31 +304,14 @@ class Profile:
         if cutoff <= self._min_ts:
             # every entry is provably >= cutoff: skip the scan entirely
             return 0
-        pack = self._pack_current() if array_state_enabled() else None
-        memo = self._pack_memo
-        pend = self._pack_pending
-        # detach the memo for the removal loop so per-remove incremental
-        # updates cannot fire (the purge re-derives the pack in one mask
-        # pass below instead of k sorted deletes)
-        self._pack_memo = None
-        self._pack_pending = None
         stale = [iid for iid, ts in self._timestamps.items() if ts < cutoff]
         for iid in stale:
             self.remove(iid)
         if stale:
             self._min_ts = min(self._timestamps.values(), default=math.inf)
-            if pack is not None and pack.rated_ids.size >= _PACK_INCREMENTAL_MIN:
-                self._pack_memo = (
-                    self._version,
-                    _pack_without_ids(pack, stale, self.norm, self.is_binary),
-                )
-                self._pack_pending = []
         else:
-            # nothing was below cutoff after all: tighten the lower bound,
-            # and the memo (version unchanged) stands on either backend
+            # nothing was below cutoff after all: tighten the lower bound
             self._min_ts = cutoff
-            self._pack_memo = memo
-            self._pack_pending = pend
         return len(stale)
 
     def clear(self) -> None:
@@ -525,7 +330,6 @@ class Profile:
         self._min_ts = math.inf
         self._version += 1
         self._pack_memo = None
-        self._pack_pending = None
 
     # -- queries ----------------------------------------------------------
 
@@ -549,50 +353,17 @@ class Profile:
         """Mutation counter; increases on every change."""
         return self._version
 
-    def _pack_current(self) -> PackedView | None:
-        """The memoised pack advanced to the current version, or ``None``.
-
-        Applies any pending set-op journal in one vectorised merge
-        (:func:`_pack_apply_sets`).  Returns ``None`` when no memoised
-        pack can be carried to the current version — the caller rebuilds
-        lazily, exactly as on the legacy plane.
-        """
-        memo = self._pack_memo
-        if memo is None:
-            return None
-        if memo[0] == self._version:
-            return memo[1]
-        pend = self._pack_pending
-        if pend and memo[0] + len(pend) == self._version:
-            pack = _pack_apply_sets(memo[1], pend, self.norm, self.is_binary)
-            self._pack_memo = (self._version, pack)
-            self._pack_pending = []
-            return pack
-        return None
-
     def packed(self) -> PackedView:
         """Sorted packed id/score arrays, memoised per mutation version.
 
-        Any mutation bumps :attr:`version`, making the memo unreachable —
-        unless the array state plane journaled the mutations, in which
-        case the memo is *advanced* by one vectorised merge instead of
-        rebuilt (:meth:`_pack_current`).
+        Any mutation bumps :attr:`version`, which makes the memo stale;
+        the next call rebuilds it from the dicts.
         """
-        pack = self._pack_current()
-        if pack is not None:
-            return pack
+        memo = self._pack_memo
+        if memo is not None and memo[0] == self._version:
+            return memo[1]
         pack = PackedView(self)
         self._pack_memo = (self._version, pack)
-        # start a fresh journal chain — but only for profiles large
-        # enough that the batched merge beats a rebuild; small ones stay
-        # on the lazy-invalidate discipline (see _PACK_INCREMENTAL_MIN)
-        if (
-            array_state_enabled()
-            and len(self._scores) >= _PACK_INCREMENTAL_MIN
-        ):
-            self._pack_pending = []
-        else:
-            self._pack_pending = None
         return pack
 
     def storage_nbytes(self) -> int:
@@ -683,7 +454,6 @@ class FrozenProfile:
         *,
         is_binary: bool,
         version: int = 0,
-        arrays: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None,
     ) -> None:
         self.scores: dict[int, float] = dict(scores)
         self.liked: frozenset[int] = frozenset(
@@ -697,17 +467,9 @@ class FrozenProfile:
         self.is_binary: bool = is_binary
         self.uid: int = next(FrozenProfile._uid_counter)
         self.version: int = version
-        # *arrays* adopts already-packed (liked_ids, rated_ids,
-        # rated_scores) columns from the source profile's packed memo
-        # (array state plane) — the arrays are immutable-by-convention and
-        # value-identical to what :meth:`_pack` would rebuild, so the
-        # snapshot skips its own fromiter/argsort pass
-        if arrays is not None:
-            self._liked_ids, self._rated_ids, self._rated_scores = arrays
-        else:
-            self._liked_ids = None
-            self._rated_ids = None
-            self._rated_scores = None
+        self._liked_ids: np.ndarray | None = None
+        self._rated_ids: np.ndarray | None = None
+        self._rated_scores: np.ndarray | None = None
         #: native-kernel descriptor; ``None`` until :meth:`_pack` runs (the
         #: compiled kernels call ``_pack`` themselves on first contact)
         self._nd: tuple | None = None
@@ -717,15 +479,9 @@ class FrozenProfile:
 
     def _pack(self) -> None:
         if self._rated_ids is None:
-            n = len(self.scores)
-            ids = pack_id_array(self.scores.keys(), n)
-            vals = np.fromiter(self.scores.values(), dtype=np.float64, count=n)
-            order = np.argsort(ids)
-            ids = ids[order]
-            vals = vals[order]
-            self._rated_ids = ids
-            self._rated_scores = vals
-            self._liked_ids = ids[vals > 0.0]
+            self._liked_ids, self._rated_ids, self._rated_scores = _sorted_columns(
+                self.scores
+            )
         self._nd = _native_descriptor(
             self._liked_ids,
             self._rated_ids,
@@ -815,21 +571,21 @@ def _same_float(a: float, b: float) -> bool:
 def score_delta(
     base: dict[int, float], new: dict[int, float]
 ) -> "tuple[list[int], list[float], list[int]] | None":
-    """The op-journal-shaped diff turning *base* into *new*.
+    """The set-op diff turning *base* into *new*.
 
-    Returns ``(set_ids, set_values, removed_ids)`` — the minimal set-op
-    journal whose replay over *base* produces *new* — or ``None`` when
-    the diff is not strictly smaller than shipping the dict whole.
-    Comparison is float-exact (``-0.0`` vs ``0.0`` and NaN count as
-    changes), so the replay is bitwise-faithful.
+    Returns ``(set_ids, set_values, removed_ids)`` — the minimal list of
+    set-ops and removals whose replay over *base* produces *new* — or
+    ``None`` when the diff is not strictly smaller than shipping the dict
+    whole.  Comparison is float-exact (``-0.0`` vs ``0.0`` and NaN count
+    as changes), so the replay is bitwise-faithful.
 
-    Every profile mutation *is* a set-op (:meth:`UserProfile.set_score`
-    journals exactly these pairs), so when *base* and *new* are snapshots
-    of one profile timeline this reconstructs the ops that ran between
-    the two versions: surviving keys keep their *base* dict slots,
-    (re)rated keys re-append in op order — replay reproduces *new*'s
-    exact insertion order, not just its mapping.  The cross-shard wire
-    (:mod:`repro.simulation.wire`) relies on both properties.
+    Every profile mutation is a :meth:`Profile.set` or a removal, so when
+    *base* and *new* are snapshots of one profile timeline this
+    reconstructs the ops that ran between the two versions: surviving
+    keys keep their *base* dict slots, (re)rated keys re-append in op
+    order — replay reproduces *new*'s exact insertion order, not just its
+    mapping.  The cross-shard wire (:mod:`repro.simulation.wire`) relies
+    on both properties.
     """
     set_ids: list[int] = []
     set_vals: list[float] = []
@@ -852,7 +608,7 @@ def apply_score_delta(
     set_values: "list[float]",
     removed: "list[int]",
 ) -> dict[int, float]:
-    """Replay a :func:`score_delta` journal over *base* (a new dict).
+    """Replay a :func:`score_delta` diff over *base* (a new dict).
 
     Removals first, then the set-ops in order — the order the mutations
     originally ran, so the result's dict insertion order matches the
@@ -905,46 +661,10 @@ class UserProfile(Profile):
         return set(self._scores)
 
     def snapshot(self) -> FrozenProfile:
-        """Return an immutable snapshot (memoised per mutation version).
-
-        On the array state plane, once a snapshot of this profile has
-        been packed (evidence its snapshots get scored), every later
-        snapshot adopts the profile's packed columns — maintained
-        incrementally by :meth:`Profile.set` — instead of re-sorting its
-        own.  Unscored profiles keep the fully lazy discipline.
-        """
+        """Return an immutable snapshot (memoised per mutation version)."""
         if self._snapshot is None or self._snapshot_version != self._version:
-            arrays = None
-            prev = self._snapshot
-            if (
-                prev is not None
-                and prev._rated_ids is not None
-                and array_state_enabled()
-            ):
-                pack = self._pack_current()
-                if pack is not None:
-                    # the journal chain is alive: one merge, then adopt
-                    arrays = (
-                        pack.liked_ids,
-                        pack.rated_ids,
-                        pack.rated_scores,
-                    )
-                elif len(self._scores) >= _PACK_INCREMENTAL_MIN:
-                    # large scored profile: pay one pack build to start
-                    # the chain; later set()s carry it forward.  Small
-                    # profiles keep the fully lazy legacy discipline —
-                    # their rebuilds are cheaper than the bookkeeping.
-                    pack = self.packed()
-                    arrays = (
-                        pack.liked_ids,
-                        pack.rated_ids,
-                        pack.rated_scores,
-                    )
             self._snapshot = FrozenProfile(
-                self._scores,
-                is_binary=True,
-                version=self._version,
-                arrays=arrays,
+                self._scores, is_binary=True, version=self._version
             )
             self._snapshot_version = self._version
         return self._snapshot
@@ -971,15 +691,9 @@ class ItemProfile(Profile):
         This runs once per like along every dissemination path, so the loop
         updates the backing containers directly instead of going through
         :meth:`set` — same arithmetic, an order of magnitude fewer calls.
-
-        On the array state plane a warm packed memo rides along: the next
-        version's sorted arrays are derived by one vectorised merge with
-        the liker's packed profile (:func:`_pack_with_integrate`) instead
-        of being rebuilt from the dicts on next use.
         """
         if self._shared:
             self._detach()
-        pack0 = self._pack_current() if array_state_enabled() else None
         scores = self._scores
         timestamps = self._timestamps
         liked = self._liked
@@ -1015,14 +729,6 @@ class ItemProfile(Profile):
         self._norm2 = norm2
         self._min_ts = min_ts
         self._version += 1
-        if pack0 is not None:
-            self._pack_memo = (
-                self._version,
-                _pack_with_integrate(
-                    pack0, user_profile.packed(), self.norm
-                ),
-            )
-            self._pack_pending = []
 
     def copy(self) -> "ItemProfile":
         """Logically deep-copy the profile (copy-on-write).
@@ -1043,28 +749,15 @@ class ItemProfile(Profile):
         clone._shared = True
         # a current pack describes the shared containers verbatim, so the
         # clone inherits it under its own version counter (packed once per
-        # dissemination path segment, not once per hop).  The journaled
-        # packs never mutate their arrays, so sharing is safe.
+        # dissemination path segment, not once per hop).  A pack's arrays
+        # are never written after construction, so sharing is safe.
         memo = self._pack_memo
         if memo is not None and memo[0] == self._version:
             clone._pack_memo = (0, memo[1])
-            clone._pack_pending = [] if self._pack_pending is not None else None
         else:
             clone._pack_memo = None
-            clone._pack_pending = None
         return clone
 
     def freeze(self) -> FrozenProfile:
-        """Immutable snapshot (used by similarity-ranking code paths).
-
-        A maintained packed memo (array state plane) is adopted wholesale
-        — the frozen copy shares the memo's columns instead of re-packing.
-        """
-        arrays = None
-        if array_state_enabled():
-            pack = self._pack_current()
-            if pack is not None:
-                arrays = (pack.liked_ids, pack.rated_ids, pack.rated_scores)
-        return FrozenProfile(
-            self._scores, is_binary=False, version=self._version, arrays=arrays
-        )
+        """Immutable snapshot (used by similarity-ranking code paths)."""
+        return FrozenProfile(self._scores, is_binary=False, version=self._version)

@@ -156,7 +156,7 @@ class WireStats:
     Maintained by each :class:`~repro.simulation.wire.LinkEncoder` and
     surfaced through ``mailbox_stats()`` so the bench can attribute
     mailbox bytes to encoding tiers: how many profile crossings were
-    uid references, full column packs, journal-shaped deltas, or
+    uid references, full column packs, set-op deltas, or
     pickle fallbacks, and how the frame bytes split between the typed
     sections and the embedded pickles.
     """

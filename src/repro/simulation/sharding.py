@@ -154,7 +154,7 @@ _shm_enabled = env_flag("REPRO_SHARD_SHM")
 
 #: per-(source, destination) shared-memory mailbox segment size; blobs
 #: larger than a segment cross in several staged chunks
-_MAILBOX_BYTES = env_int("REPRO_SHARD_MAILBOX_BYTES", 1 << 20, floor=64 * 1024)
+_MAILBOX_BYTES = 1 << 20
 
 #: inline chunk size when shared memory is off — small enough that a
 #: stop-and-wait window of one chunk can never fill an OS pipe buffer
@@ -339,7 +339,7 @@ def _loads(blob: bytes) -> object:
 #: distinct snapshots, both ends reset it (their tables grow in lock-step
 #: — one entry per first-crossing uid — so the same size rule fires at
 #: the same cycle on both sides)
-_INTERN_CAP = env_int("REPRO_SHARD_INTERN_CAP", 20000, floor=256)
+_INTERN_CAP = 20000
 
 
 # --------------------------------------------------------------------------- #
@@ -349,10 +349,8 @@ _INTERN_CAP = env_int("REPRO_SHARD_INTERN_CAP", 20000, floor=256)
 #: knob name -> (module global, env-parity normalizer).  One table so the
 #: programmatic path (``RunConfig.apply()``) and the env layer agree on
 #: names, floors, and rounding; the setters rebind the module globals the
-#: engine and tests read (monkeypatching ``_MAILBOX_BYTES`` etc. directly
-#: keeps working).
+#: engine and tests read.
 _KNOB_GLOBALS = {
-    "mailbox_bytes": ("_MAILBOX_BYTES", lambda v: max(64 * 1024, int(v))),
     "ctrl_timeout": ("_CTRL_TIMEOUT", float),
     "exchange_timeout": ("_EXCHANGE_TIMEOUT", float),
     "retries": ("_EXCHANGE_RETRIES", lambda v: max(1, int(v))),
@@ -360,7 +358,6 @@ _KNOB_GLOBALS = {
     "checkpoint_every": ("_CKPT_EVERY", lambda v: max(1, int(v))),
     "degraded_window": ("_DEGRADED_FOR", lambda v: max(0, int(v))),
     "max_recoveries": ("_MAX_RECOVERIES", lambda v: max(1, int(v))),
-    "intern_cap": ("_INTERN_CAP", lambda v: max(256, int(v))),
     "recovery": ("_RECOVERY_MODE", None),
     "pin_cpus": ("_PIN_CPUS", bool),
 }
@@ -390,8 +387,8 @@ def set_shard_knobs(**knobs) -> dict:
     """Set sharding runtime knobs; returns the previous values of those set.
 
     Accepts any subset of :func:`shard_knobs` keys.  Values go through the
-    same floors the env parsing applies (a mailbox below 64 KiB or an
-    intern cap below 256 is clamped, not rejected).  Consulted at engine
+    same floors the env parsing applies (a retry count below 1 or a
+    backoff below 5 ms is clamped, not rejected).  Consulted at engine
     construction and, for supervision knobs, per supervised step — like
     the gate setters, running workers are unaffected until respawned.
     """

@@ -6,7 +6,7 @@ re-framed by the pickler every cycle, with only the profile *snapshots*
 deduplicated per link.  At four shards ~75% of gossip crosses a link, so
 that framing tax dominated the mailbox bytes.
 
-This module replaces the payload encoding with three tiers, selected by
+This module encodes the payload in one of two tiers, selected by
 ``REPRO_SHARD_WIRE`` (default ``delta``):
 
 ``pickle``
@@ -14,26 +14,23 @@ This module replaces the payload encoding with three tiers, selected by
     snapshot interning (:func:`_dumps_interned` / :func:`_loads_interned`).
     Kept as the reference tier the equivalence tests sweep against.
 
-``columns``
+``delta``
     Messages ship as flat typed blocks — one ``int64`` row table
     (sender, target, kind, flags, wire, entry count), one ``(ids, ts,
     wire)`` entry table sliced straight off the sender's view columns,
-    and per-profile *uid references*.  A profile's canonical state still
+    and per-profile *uid references*.  A profile's canonical state
     crosses once per link (as packed ``uint64``/``float64`` columns);
     every later crossing is 8 bytes.  ``ViewEntry`` tuples, addresses and
     message objects are rebuilt receiver-side — the descriptor address is
     a pure function of the node id (see ``RpsProtocol``), so it never
-    travels.
+    travels.  On top of that, a profile crossing a link whose per-node
+    base store already holds an older snapshot of the same node ships
+    only ``(base_uid, set-ops, removals)`` — the diff between the two
+    score dicts.  A snapshot usually differs from its predecessor by one
+    opinion, so re-rating traffic collapses from full profiles to a few
+    dozen bytes.
 
-``delta``
-    ``columns`` plus first-class profile deltas: a profile crossing a
-    link whose per-node base store already holds an older snapshot of
-    the same node ships only ``(base_uid, set-ops, removals)`` — the
-    journal-shaped diff between the two score dicts.  A snapshot usually
-    differs from its predecessor by one opinion, so re-rating traffic
-    collapses from full profiles to a few dozen bytes.
-
-Both columnar tiers deflate the frame body when that wins (the header's
+The ``delta`` tier deflates the frame body when that wins (the header's
 phase byte carries the flag; see ``_PHASE_DEFLATE``) — the whole point
 of a columnar layout is that it lines up similar bytes, so cheap
 DEFLATE does the last multiple of the byte reduction that no amount of
@@ -104,7 +101,7 @@ __all__ = [
 #: bump when the frame layout changes; decoders reject other versions
 WIRE_FORMAT_VERSION = 1
 
-WIRE_TIERS = ("pickle", "columns", "delta")
+WIRE_TIERS = ("pickle", "delta")
 
 #: codec treatment of every NamedTuple that can cross a shard mailbox.
 #: A new wire-visible NamedTuple must be added here with a conscious
@@ -125,7 +122,7 @@ _wire_tier = env_choice("REPRO_SHARD_WIRE", "delta", WIRE_TIERS)
 
 
 def wire_tier() -> str:
-    """The active cross-shard wire tier (``pickle``/``columns``/``delta``)."""
+    """The active cross-shard wire tier (``pickle`` or ``delta``)."""
     return _wire_tier
 
 
@@ -248,8 +245,8 @@ _PHASES = {"gossip": _PHASE_GOSSIP, "items": _PHASE_ITEMS}
 #: high bit of the header's phase byte: the body is deflate-compressed.
 #: Columnar layouts put similar bytes side by side (int64 tables of
 #: small values, runs of repeated tags/uids), which is exactly the shape
-#: cheap DEFLATE thrives on — so the columnar tiers compress every frame
-#: body and keep it only when it wins.  ``zlib.compress`` at a fixed
+#: cheap DEFLATE thrives on — so the ``delta`` tier compresses every frame
+#: body and keeps it only when it wins.  ``zlib.compress`` at a fixed
 #: level is deterministic, and the keep-iff-smaller rule is a pure
 #: function of the payload bytes, so replayed frames stay bit-identical.
 _PHASE_DEFLATE = 0x80
@@ -401,11 +398,10 @@ class LinkEncoder:
     """Sender-side state of one directed cross-shard link.
 
     Holds the uid set of snapshots already shipped (reference crossings)
-    and, on the ``delta`` tier, the per-node base store the next delta
-    diffs against.  Both grow in lock-step with the peer
-    :class:`LinkDecoder` — see :meth:`cap_reset`.  Picklable, so
-    checkpoints capture the wire state and rollback-replay reproduces
-    every frame bit-for-bit.
+    and the per-node base store the next delta diffs against.  Both grow
+    in lock-step with the peer :class:`LinkDecoder` — see
+    :meth:`cap_reset`.  Picklable, so checkpoints capture the wire state
+    and rollback-replay reproduces every frame bit-for-bit.
     """
 
     __slots__ = ("tier", "stats", "_sent", "_bases", "_addrs")
@@ -484,7 +480,6 @@ class LinkEncoder:
         bases = self._bases
         addrs = self._addrs
         stats = self.stats
-        want_delta = self.tier == "delta"
 
         row_vals: list = []
         blocks: list = []
@@ -601,8 +596,7 @@ class LinkEncoder:
                 base = bases.get(nid)
                 encoded = False
                 if (
-                    want_delta
-                    and base is not None
+                    base is not None
                     and base.uid != uid
                     and base.is_binary == prof.is_binary
                     and base.version <= prof.version

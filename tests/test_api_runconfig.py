@@ -47,8 +47,6 @@ VARIANT = dict(
     shard_shm=False,
     wire_tier="pickle",
     pin_cpus=True,
-    mailbox_bytes=1 << 17,
-    intern_cap=512,
     faults="crash@5:1:q",
     recovery="degraded",
     checkpoint_every=3,
@@ -80,15 +78,21 @@ class TestEnvParity:
         env = {
             "REPRO_BATCH_SIM": "OFF",
             "REPRO_NATIVE": "No",
+            "REPRO_ARRAY_STATE": "0 ",  # trailing blank, as from a .env file
+            "REPRO_SHARD_SHM": "off\n",  # trailing newline, as from a secret
+            "REPRO_SHARD_PIN_CPUS": " 1",
             "REPRO_SHARDS": "3",
-            "REPRO_SHARD_WIRE": " Columns ",
+            "REPRO_SHARD_WIRE": " Pickle ",
             "REPRO_FAULTS": "  ",
         }
         cfg = RunConfig.from_env(env)
         assert cfg.batch_sim is False
         assert cfg.native is False
+        assert cfg.array_state is False
+        assert cfg.shard_shm is False
+        assert cfg.pin_cpus is True
         assert cfg.shards == 3
-        assert cfg.wire_tier == "columns"
+        assert cfg.wire_tier == "pickle"
         assert cfg.faults is None  # blank spec means no schedule
 
     def test_from_env_applies_module_floors_and_fallbacks(self):
@@ -97,7 +101,7 @@ class TestEnvParity:
                 "REPRO_SHARDS": "zero",  # unparseable -> default
                 "REPRO_SHARD_WIRE": "msgpack",  # unknown -> default
                 "REPRO_SHARD_RECOVERY": "prayer",  # unknown -> default
-                "REPRO_SHARD_INTERN_CAP": "5",  # floored
+                "REPRO_SHARD_CHECKPOINT": "0",  # floored
                 "REPRO_SHARD_BACKOFF": "0.000001",  # floored
                 "REPRO_SHARD_RETRIES": "0",  # floored
             }
@@ -105,7 +109,7 @@ class TestEnvParity:
         assert cfg.shards == 1
         assert cfg.wire_tier == "delta"
         assert cfg.recovery == "auto"
-        assert cfg.intern_cap == 256
+        assert cfg.checkpoint_every == 1
         assert cfg.backoff == 0.005
         assert cfg.retries == 1
 
@@ -121,8 +125,8 @@ class TestEnvParity:
         cfg = RunConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.shards = 4
-        derived = cfg.replace(shards=4, wire_tier="columns")
-        assert (derived.shards, derived.wire_tier) == (4, "columns")
+        derived = cfg.replace(shards=4, wire_tier="pickle")
+        assert (derived.shards, derived.wire_tier) == (4, "pickle")
         assert cfg.shards == 1  # original untouched
         with pytest.raises(ValueError):
             cfg.replace(wire_tier="msgpack")
@@ -153,8 +157,6 @@ class TestApply:
             assert schedule is not None
             assert [e.kind for e in schedule.events] == ["crash"]
             knobs = sharding_mod.shard_knobs()
-            assert knobs["mailbox_bytes"] == 1 << 17
-            assert knobs["intern_cap"] == 512
             assert knobs["pin_cpus"] is True
             assert knobs["recovery"] == "degraded"
             assert knobs["retries"] == 9
@@ -169,7 +171,7 @@ class TestApply:
 
     def test_apply_restores_on_exception(self):
         before = (shard_count(), wire_tier())
-        cfg = RunConfig(shards=2, wire_tier="columns")
+        cfg = RunConfig(shards=2, wire_tier="pickle")
         with pytest.raises(RuntimeError, match="boom"), cfg.apply():
             assert shard_count() == 2
             raise RuntimeError("boom")
@@ -177,10 +179,10 @@ class TestApply:
 
     def test_apply_nests(self):
         before = wire_tier()
-        with RunConfig(wire_tier="columns").apply():
-            with RunConfig(wire_tier="pickle").apply():
-                assert wire_tier() == "pickle"
-            assert wire_tier() == "columns"
+        with RunConfig(wire_tier="pickle").apply():
+            with RunConfig(wire_tier="delta").apply():
+                assert wire_tier() == "delta"
+            assert wire_tier() == "pickle"
         assert wire_tier() == before
 
 
@@ -239,7 +241,7 @@ class TestPlumbing:
             system.nodes,
             dataset.schedule(),
             streams=system.streams,
-            run_config=RunConfig(shards=2, wire_tier="columns"),
+            run_config=RunConfig(shards=2, wire_tier="pickle"),
         )
         try:
             assert type(engine).__name__ == "ShardedCycleEngine"
@@ -264,7 +266,7 @@ class TestPlumbing:
             fanouts_digg=(2, 4),
         )
         before = wire_tier()
-        cfg = RunConfig(wire_tier="columns")
+        cfg = RunConfig(wire_tier="pickle")
         rep = run_experiment("table1", tiny, seed=2, run_config=cfg)
         assert "Synthetic" in rep.text
         assert wire_tier() == before  # restored

@@ -1,17 +1,17 @@
 """Array-state plane: unit parity and fixed-seed equivalence tests.
 
-The array-backed state plane (``REPRO_ARRAY_STATE``, PR 4) swaps the view
-and packed-profile internals — dict/NamedTuple stores become preallocated
-columns with native bookkeeping kernels — while keeping every externally
-observable outcome **bitwise identical** at fixed seeds.  These tests
-enforce that promise at three levels:
+The array-backed state plane (``REPRO_ARRAY_STATE``) swaps the view store
+— the dict/NamedTuple store becomes preallocated columns with native
+bookkeeping kernels — while keeping every externally observable outcome
+**bitwise identical** at fixed seeds.  These tests enforce that promise at
+two levels, and pin the packed-profile memo both planes share:
 
 * *operation parity* — mirrored random op sequences on :class:`View` and
   :class:`ArrayView` leave identical entries, order, RNG state and wire
   sizes, on the native and pure-Python tiers alike;
-* *pack parity* — the journaled/incremental packed-profile maintenance
-  produces arrays element-identical to a from-scratch rebuild after any
-  mutation mix (set/remove/purge/integrate/copy/snapshot);
+* *pack parity* — a profile's memoised pack is element-identical to a
+  from-scratch build after any mutation mix
+  (set/remove/purge/integrate/copy/snapshot), whichever way the gate points;
 * *end-to-end equivalence* — full fixed-seed simulations (small + medium,
   plus churn and cold-start joins) leave identical logs, profiles, views,
   duplicates and traffic bytes on the legacy (``REPRO_ARRAY_STATE=0``)
@@ -250,8 +250,12 @@ def _descriptor_size(e: ViewEntry) -> int:
     return descriptor_wire_size(e)
 
 
-class TestPackJournalParity:
-    """Journaled pack maintenance == from-scratch rebuild, element-wise."""
+class TestPackMemoParity:
+    """Memoised pack == from-scratch build, element-wise, after any mutation.
+
+    Packs are rebuilt from the dicts whenever the version moved, so none
+    of this depends on the array-state gate.
+    """
 
     @staticmethod
     def _assert_pack_matches(profile, where):
@@ -263,116 +267,75 @@ class TestPackJournalParity:
         assert pack.norm == fresh.norm, where
 
     def test_user_profile_mutation_mix(self):
-        with array_state(True):
-            rng = np.random.default_rng(3)
-            profile = UserProfile()
-            for _ in range(60):
-                profile.set(
-                    int(rng.integers(0, 10_000)),
+        rng = np.random.default_rng(3)
+        profile = UserProfile()
+        for _ in range(60):
+            profile.set(
+                int(rng.integers(0, 10_000)),
+                int(rng.integers(0, 30)),
+                float(rng.integers(0, 2)),
+            )
+        profile.packed()  # hold a memo the mutations below make stale
+        for step in range(200):
+            op = rng.integers(5)
+            if op <= 1:
+                for _ in range(int(rng.integers(1, 6))):
+                    profile.set(
+                        int(rng.integers(0, 10_000)),
+                        int(rng.integers(0, 40)),
+                        float(rng.integers(0, 2)),
+                    )
+            elif op == 2:
+                ids = list(profile.scores)
+                profile.remove(ids[int(rng.integers(len(ids)))])
+            elif op == 3:
+                profile.purge_older_than(int(rng.integers(0, 25)))
+            else:
+                profile.snapshot()
+            self._assert_pack_matches(profile, step)
+
+    def test_item_profile_integrate_and_clone_chain(self):
+        rng = np.random.default_rng(7)
+        item = ItemProfile()
+        for _ in range(40):
+            item.set(
+                int(rng.integers(0, 5_000)),
+                int(rng.integers(0, 30)),
+                float(rng.random()),
+            )
+        item.packed()
+        for step in range(30):
+            liker = UserProfile()
+            for _ in range(int(rng.integers(5, 60))):
+                liker.set(
+                    int(rng.integers(0, 5_000)),
                     int(rng.integers(0, 30)),
                     float(rng.integers(0, 2)),
                 )
-            profile.packed()  # start the journal chain
-            for step in range(200):
-                op = rng.integers(5)
-                if op <= 1:
-                    for _ in range(int(rng.integers(1, 6))):
-                        profile.set(
-                            int(rng.integers(0, 10_000)),
-                            int(rng.integers(0, 40)),
-                            float(rng.integers(0, 2)),
-                        )
-                elif op == 2:
-                    ids = list(profile.scores)
-                    profile.remove(ids[int(rng.integers(len(ids)))])
-                elif op == 3:
-                    profile.purge_older_than(int(rng.integers(0, 25)))
-                else:
-                    profile.snapshot()
-                self._assert_pack_matches(profile, step)
-
-    def test_item_profile_integrate_and_clone_chain(self):
-        with array_state(True):
-            rng = np.random.default_rng(7)
-            item = ItemProfile()
-            for _ in range(40):
-                item.set(
-                    int(rng.integers(0, 5_000)),
-                    int(rng.integers(0, 30)),
-                    float(rng.random()),
-                )
-            item.packed()
-            for step in range(30):
-                liker = UserProfile()
-                for _ in range(int(rng.integers(5, 60))):
-                    liker.set(
-                        int(rng.integers(0, 5_000)),
-                        int(rng.integers(0, 30)),
-                        float(rng.integers(0, 2)),
-                    )
-                item.integrate(liker)
-                # the merged pack rides the mutation: no rebuild needed
-                assert item._pack_memo is not None
-                assert item._pack_memo[0] == item.version
-                self._assert_pack_matches(item, f"integrate {step}")
-                item.purge_older_than(int(rng.integers(0, 20)))
-                self._assert_pack_matches(item, f"purge {step}")
-                clone = item.copy()
-                self._assert_pack_matches(clone, f"clone {step}")
-                if step % 2:
-                    item = clone
+            item.integrate(liker)
+            self._assert_pack_matches(item, f"integrate {step}")
+            item.purge_older_than(int(rng.integers(0, 20)))
+            self._assert_pack_matches(item, f"purge {step}")
+            clone = item.copy()
+            self._assert_pack_matches(clone, f"clone {step}")
+            if step % 2:
+                item = clone
 
     def test_cow_clone_shares_pack_columns(self):
-        with array_state(True):
-            item = ItemProfile()
-            for i in range(30):
-                item.set(i, 0, 0.5)
-            pack = item.packed()
-            clone = item.copy()
-            assert clone.packed().rated_ids is pack.rated_ids
-            # mutating the clone must not corrupt the parent's pack
-            clone.set(999, 1, 1.0)
-            assert np.array_equal(item.packed().rated_ids, pack.rated_ids)
-            assert 999 not in item.scores
-
-    def test_snapshot_adoption_matches_lazy_pack(self):
-        with array_state(True):
-            rng = np.random.default_rng(11)
-            profile = UserProfile()
-            for _ in range(50):
-                profile.set(int(rng.integers(0, 10_000)), 0, 1.0)
-            first = profile.snapshot()
-            _ = first.rated_ids  # packing evidences that snapshots score
-            profile.set(123456, 1, 1.0)
-            profile.set(99, 1, 0.0)
-            second = profile.snapshot()
-            assert second._rated_ids is not None  # adopted, not lazy
-            reference = FrozenProfile(profile.scores, is_binary=True)
-            assert np.array_equal(second.rated_ids, reference.rated_ids)
-            assert np.array_equal(
-                second.rated_scores, reference.rated_scores
-            )
-            assert np.array_equal(second.liked_ids, reference.liked_ids)
-            assert second.norm == reference.norm
-
-    def test_freeze_adopts_warm_pack(self):
-        with array_state(True):
-            item = ItemProfile()
-            for i in range(40):
-                item.set(i, 0, 0.25)
-            pack = item.packed()
-            frozen = item.freeze()
-            assert frozen._rated_ids is pack.rated_ids
-
-    def test_legacy_gate_keeps_lazy_discipline(self):
-        with array_state(False):
-            profile = UserProfile()
-            for i in range(60):
-                profile.set(i, 0, 1.0)
-            profile.packed()
-            profile.set(1000, 1, 1.0)
-            snap = profile.snapshot()
-            assert snap._rated_ids is None  # packs stay fully lazy
+        item = ItemProfile()
+        for i in range(30):
+            item.set(i, 0, 0.5)
+        pack = item.packed()
+        clone = item.copy()
+        assert clone.packed().rated_ids is pack.rated_ids
+        # neither side may see the other's later edits, in dicts or packs
+        clone.set(999, 1, 1.0)
+        assert np.array_equal(item.packed().rated_ids, pack.rated_ids)
+        assert 999 not in item.scores
+        item.set(777, 1, 1.0)
+        assert 777 not in clone.scores
+        self._assert_pack_matches(item, "parent after both edits")
+        self._assert_pack_matches(clone, "clone after both edits")
 
 
 def _full_state(system: WhatsUpSystem) -> dict:

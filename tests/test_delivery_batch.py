@@ -117,12 +117,12 @@ class TestChurnEquivalence:
     """
 
     @staticmethod
-    def _run_churned(batch: bool, native: bool, arrays: bool | None = None):
+    def _run_churned(batch: bool, native: bool, array_views: bool | None = None):
         with (
             delivery_batching(batch),
             batch_scoring(batch),
             native_kernel(native),
-            array_state(array_state_enabled() if arrays is None else arrays),
+            array_state(array_state_enabled() if array_views is None else array_views),
         ):
             data = SCALES["medium"].dataset("survey", seed=11)
             churn = ChurnModel(kill_rate=0.04, rejoin_after=2, start_cycle=3)
@@ -148,10 +148,10 @@ class TestChurnEquivalence:
             # the state plane crossed with the pipeline tiers: the array
             # and legacy layouts must agree under churn as well
             legacy_state = self._run_churned(
-                batch=True, native=True, arrays=False
+                batch=True, native=True, array_views=False
             )
             array_plane = self._run_churned(
-                batch=True, native=True, arrays=True
+                batch=True, native=True, array_views=True
             )
             for key in scalar:
                 assert legacy_state[key] == array_plane[key], (

@@ -7,10 +7,11 @@ inputs rather than one fixed seed:
   evictions and trims leaves the columnar backend observably identical to
   the dict-backed one (entries, order, oldest-selection, wire accounting,
   RNG consumption).
-* **Pack-journal merge = naive replay** — a :class:`Profile`'s memoised
-  :class:`PackedView`, advanced incrementally through the set-op journal,
-  always equals the pack a fresh profile would build from scratch after
-  the same mutations.
+* **Pack memo = from-scratch build** — after any sequence of
+  ``set``/``remove``/``purge_older_than``/``integrate``/``copy``/
+  ``snapshot``/``freeze``, a profile's memoised :class:`PackedView` and its
+  snapshots' packed columns equal a sort of the score dict, and
+  copy-on-write clones keep the state they were cloned at.
 * **Scoring tiers = scalar metrics** — the fused native kernels and the
   set-algebra pool loops return the scalar metrics' exact bits for every
   metric and both orientations.
@@ -21,14 +22,14 @@ default ``dev`` (fast local iteration).
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from repro._native import load as load_native, native_kernel
-from repro.core.arraystate import array_state
-from repro.core.profiles import FrozenProfile, Profile
+from repro.core.profiles import FrozenProfile, ItemProfile, UserProfile
 from repro.core.similarity import (
     _native_pool_code,
     available_metrics,
@@ -134,73 +135,132 @@ def test_bulk_upsert_equals_sequential(shipment):
 
 
 # --------------------------------------------------------------------------- #
-# pack-journal merge = naive replay                                           #
+# pack memo = from-scratch build                                              #
 # --------------------------------------------------------------------------- #
 
+_pack_item_ids = st.integers(min_value=0, max_value=60)
 _set_op = st.tuples(
     st.just("set"),
-    st.integers(min_value=0, max_value=60),  # item id
+    _pack_item_ids,
     st.integers(min_value=0, max_value=40),  # timestamp
     st.sampled_from([0.0, 1.0, 0.5, -1.0]),  # score (binary + graded)
 )
-_remove_op = st.tuples(st.just("remove"), st.integers(min_value=0, max_value=60))
-_purge_op = st.tuples(st.just("purge"), st.integers(min_value=0, max_value=40))
-_pack_op = st.tuples(st.just("pack"))  # consume the pack mid-sequence
+_remove_op = st.tuples(st.just("remove"), _pack_item_ids)
+_purge_op = st.tuples(st.just("purge"), st.integers(min_value=0, max_value=41))
+_pack_op = st.tuples(st.just("pack"))  # hold a memo for later ops to stale
+_integrate_op = st.tuples(
+    st.just("integrate"),
+    st.dictionaries(_pack_item_ids, st.booleans(), max_size=6),  # liker
+    st.integers(min_value=0, max_value=40),  # the liker's timestamps
+)
+_copy_op = st.tuples(st.just("copy"), st.booleans())  # carry on with the clone?
+_freeze_op = st.tuples(st.just("freeze"))  # snapshot() / freeze()
 _profile_ops = st.lists(
-    st.one_of(_set_op, _remove_op, _purge_op, _pack_op),
+    st.one_of(
+        _set_op,
+        _remove_op,
+        _purge_op,
+        _pack_op,
+        _integrate_op,
+        _copy_op,
+        _freeze_op,
+    ),
     min_size=1,
     max_size=80,
 )
 
 
-def _apply(profile: Profile, ops, consume_packs: bool) -> None:
-    for op in ops:
-        if op[0] == "set":
-            profile.set(op[1], op[2], op[3])
-        elif op[0] == "remove":
-            profile.remove(op[1])
-        elif op[0] == "purge":
-            profile.purge_older_than(op[1])
-        elif consume_packs:
-            profile.packed()  # start/advance a journal chain
+def _assert_columns_from_scratch(packed, scores: dict, norm: float) -> None:
+    """*packed* (a pack or a snapshot) equals a sort of *scores*' rows."""
+    rows = sorted(scores.items())
+    ids = np.array([iid for iid, _ in rows], dtype=np.uint64)
+    vals = np.array([s for _, s in rows], dtype=np.float64)
+    np.testing.assert_array_equal(packed.rated_ids, ids)
+    np.testing.assert_array_equal(packed.rated_scores, vals)
+    np.testing.assert_array_equal(packed.liked_ids, ids[vals > 0.0])
+    assert packed.norm == norm
 
 
-@given(ops=_profile_ops)
-def test_pack_journal_merge_equals_naive_replay(ops):
-    """Journaled packs match a from-scratch rebuild after any op mix.
+def _snapshot_norm(scores: dict) -> float:
+    norm2 = 0.0
+    for s in scores.values():
+        norm2 += s * s
+    return math.sqrt(norm2) if norm2 > 0.0 else 0.0
 
-    The journaled profile consumes ``packed()`` mid-sequence (creating
-    memo + journal chains that later ops advance through the vectorised
-    merge); the naive profile replays the same mutations and builds its
-    pack exactly once at the end, from its dict store alone.
+
+def _apply(profile, op, left_behind: list):
+    """Apply one generated op; returns the profile the sequence goes on with.
+
+    Ops a kind does not have (``integrate``/``copy`` on a user profile) are
+    no-ops.  A ``copy`` appends the side that stays behind, with the scores
+    it had, to *left_behind*.
     """
-    with array_state(True):
-        journaled = Profile()
-        _apply(journaled, ops, consume_packs=True)
-        merged = journaled.packed()
-    with array_state(False):
-        naive = Profile()
-        _apply(naive, ops, consume_packs=False)
-        rebuilt = naive.packed()
+    is_user = isinstance(profile, UserProfile)
+    if op[0] == "set":
+        if is_user:
+            profile.record_opinion(op[1], op[2], op[3] > 0.0)
+        else:
+            profile.set(op[1], op[2], op[3])
+    elif op[0] == "remove":
+        profile.remove(op[1])
+    elif op[0] == "purge":
+        profile.purge_older_than(op[1])
+    elif op[0] == "pack":
+        profile.packed()
+    elif op[0] == "integrate" and not is_user:
+        liker = UserProfile()
+        for iid, liked in op[1].items():
+            liker.record_opinion(iid, op[2], liked)
+        profile.integrate(liker)
+    elif op[0] == "copy" and not is_user:
+        clone = profile.copy()
+        stays, profile = (profile, clone) if op[1] else (clone, profile)
+        left_behind.append((stays, dict(stays.scores)))
+    elif op[0] == "freeze":
+        frozen = profile.snapshot() if is_user else profile.freeze()
+        scores = dict(profile.scores)
+        assert frozen.scores == scores
+        _assert_columns_from_scratch(frozen, scores, _snapshot_norm(scores))
+    return profile
 
-    np.testing.assert_array_equal(merged.rated_ids, rebuilt.rated_ids)
-    np.testing.assert_array_equal(merged.rated_scores, rebuilt.rated_scores)
-    np.testing.assert_array_equal(merged.liked_ids, rebuilt.liked_ids)
-    assert merged.norm == rebuilt.norm
-    assert merged.is_binary == rebuilt.is_binary
-    # the pack is a pure derivation: the canonical dict stores agree too
-    assert journaled.scores == naive.scores
-    assert sorted(journaled.liked) == sorted(naive.liked)
-    assert journaled.norm == naive.norm
+
+_profile_kinds = st.sampled_from([UserProfile, ItemProfile])
 
 
-@given(ops=_profile_ops)
-def test_pack_memo_is_version_stable(ops):
+@given(kind=_profile_kinds, ops=_profile_ops)
+@example(UserProfile, [("pack",), ("freeze",)])  # empty profile
+@example(  # all-dislike: no liked ids, zero norm
+    UserProfile,
+    [("set", 1, 0, 0.0), ("set", 2, 0, 0.0), ("pack",), ("freeze",)],
+)
+@example(  # purge to empty under a held memo
+    ItemProfile,
+    [("set", 1, 3, 1.0), ("set", 2, 5, 0.5), ("pack",), ("purge", 41)],
+)
+def test_pack_memo_equals_fresh_build(kind, ops):
+    """``packed()`` and snapshots equal a from-scratch build after any ops.
+
+    The sequence holds memos mid-way (``pack``), so every later mutation
+    has a stale memo to get past; copy-on-write clones left behind must
+    keep the state they were cloned at.
+    """
+    profile = kind()
+    left_behind: list = []
+    for op in ops:
+        profile = _apply(profile, op, left_behind)
+        _assert_columns_from_scratch(profile.packed(), profile.scores, profile.norm)
+    for stays, scores in left_behind:
+        assert stays.scores == scores
+        _assert_columns_from_scratch(stays.packed(), scores, stays.norm)
+
+
+@given(kind=_profile_kinds, ops=_profile_ops)
+def test_pack_memo_is_version_stable(kind, ops):
     """Consuming ``packed()`` twice with no mutation returns one object."""
-    with array_state(True):
-        profile = Profile()
-        _apply(profile, ops, consume_packs=True)
-        assert profile.packed() is profile.packed()
+    profile = kind()
+    for op in ops:
+        profile = _apply(profile, op, [])
+    assert profile.packed() is profile.packed()
 
 
 # --------------------------------------------------------------------------- #
@@ -370,12 +430,11 @@ def _delta_baseline(seed: int, cycles: int):
 @given(
     seed=st.integers(min_value=0, max_value=2**16 - 1),
     cycles=st.integers(min_value=3, max_value=6),
-    tier=st.sampled_from(["pickle", "columns"]),
     shm=st.booleans(),
 )
-def test_wire_tier_is_pure_transport(seed, cycles, tier, shm):
-    """Any (tier, medium) matches the delta/shm run at the same seed."""
-    assert _sharded_state(seed, cycles, tier, shm) == _delta_baseline(
+def test_wire_tier_is_pure_transport(seed, cycles, shm):
+    """The pickle tier on any medium matches the delta/shm run at the seed."""
+    assert _sharded_state(seed, cycles, "pickle", shm) == _delta_baseline(
         seed, cycles
     )
 

@@ -5,8 +5,8 @@ Covers the wire format's contracts:
 * codec round-trips — gossip rows (requests/replies, RPS and clustering,
   with and without column blocks) and item rows decode to equal values,
   with score dicts preserving exact float bits *and* insertion order;
-* the three-tier encoding ladder: first crossings ship FULL columns,
-  re-crossings ship uid REFs, changed re-crossings ship journal-shaped
+* the three-step encoding ladder: first crossings ship FULL columns,
+  re-crossings ship uid REFs, changed re-crossings ship set-op
   DELTAs against the per-link base store — and the deterministic cap
   rule clears both ends in lock-step;
 * value-driven fallbacks — rows the fast path cannot express (custom
@@ -15,8 +15,8 @@ Covers the wire format's contracts:
 * protocol errors raise instead of corrupting state (unknown uid,
   missing delta base, foreign frame version);
 * end-to-end equivalence: a sharded run's final state is bit-identical
-  across ``pickle`` / ``columns`` / ``delta`` tiers, shm on or off, and
-  the delta tier measurably shrinks the mailbox bytes.
+  across the ``pickle`` and ``delta`` tiers, shm on or off, and the delta
+  tier measurably shrinks the mailbox bytes.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def assert_messages_equal(a, b) -> None:
 # --------------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("tier", ["columns", "delta"])
+@pytest.mark.parametrize("tier", ["delta"])
 def test_gossip_roundtrip_all_message_shapes(tier):
     enc, dec = link(tier)
     p1 = profile({3: 1.0, 9: -1.0}, version=2)
@@ -133,7 +133,7 @@ def test_gossip_roundtrip_all_message_shapes(tier):
 
 
 def test_ref_crossing_resolves_to_the_registered_object():
-    enc, dec = link("columns")
+    enc, dec = link("delta")
     p = profile({1: 1.0})
     first = dec.decode(
         enc.encode([(0, 1, MessageKind.RPS, RpsMessage(0, (entry(2, p),), True))], "gossip")
@@ -148,9 +148,9 @@ def test_ref_crossing_resolves_to_the_registered_object():
 def test_delta_reproduces_exact_dict_order_and_bits():
     enc, dec = link("delta")
     base = profile({10: 1.0, 11: -1.0, 12: 1.0}, version=3)
-    # the owner re-rates 11 in place (set-ops keep the dict slot, like
-    # UserProfile.set_score), forgets 10, and rates 13 — the op journal
-    # between the two versions
+    # the owner re-rates 11 in place (a set-op keeps the dict slot, like
+    # Profile.set), forgets 10, and rates 13 — the ops between the two
+    # versions
     new_scores = dict(base.scores)
     new_scores[11] = -0.0  # sign flip must survive (float-exact compare)
     del new_scores[10]
@@ -236,7 +236,7 @@ def test_exotic_score_keys_fall_back_to_pickled_profile():
 
 
 def test_foreign_payload_type_rides_the_overflow_pickle():
-    enc, dec = link("columns")
+    enc, dec = link("delta")
     rows = [(0, 1, MessageKind.RPS, ("not", "a", "message"))]
     out = dec.decode(enc.encode(rows, "gossip"))
     assert enc.stats.overflow_rows == 1
@@ -244,7 +244,7 @@ def test_foreign_payload_type_rides_the_overflow_pickle():
 
 
 def test_item_rows_roundtrip():
-    enc, dec = link("columns")
+    enc, dec = link("delta")
     rows = [
         (4, 9, {"copy": 1}, True),
         (5, 9, {"copy": 2}, False),
@@ -269,7 +269,7 @@ def test_columnar_frames_deflate_when_it_wins():
     """
     from repro.simulation.wire import _PHASE_DEFLATE
 
-    enc, dec = link("columns")
+    enc, dec = link("delta")
     profs = [profile({i: 1.0}, version=1) for i in range(64)]
     entries = tuple(entry(i, p, 3) for i, p in enumerate(profs))
     rows = [
@@ -302,12 +302,12 @@ def test_incompressible_frame_stays_raw():
 
 
 def test_unknown_uid_reference_raises():
-    enc, _ = link("columns")
+    enc, _ = link("delta")
     p = profile({1: 1.0})
     row = [(0, 1, MessageKind.RPS, RpsMessage(0, (entry(2, p),), True))]
     enc.encode(row, "gossip")  # first crossing consumed by nobody
     blob = enc.encode(row, "gossip")  # second crossing: a REF
-    fresh = LinkDecoder("columns")
+    fresh = LinkDecoder("delta")
     with pytest.raises(KeyError):
         fresh.decode(blob)
 
@@ -329,7 +329,7 @@ def test_delta_with_missing_base_raises():
 
 
 def test_foreign_frame_version_raises():
-    enc, dec = link("columns")
+    enc, dec = link("delta")
     blob = bytearray(enc.encode([], "gossip"))
     blob[2] = WIRE_FORMAT_VERSION + 1
     with pytest.raises(ValueError):
@@ -364,7 +364,7 @@ def test_score_delta_roundtrip_and_worth_rule():
     assert list(rebuilt.items()) == list(new.items())
     # a full rewrite is not worth a delta
     assert score_delta({1: 1.0}, {2: -1.0, 3: 1.0}) is None
-    # identical dicts: empty journal IS worth it (2*0+0 < 2*n)
+    # identical dicts: empty diff IS worth it (2*0+0 < 2*n)
     assert score_delta(base, base) == ([], [], [])
     # removal of an absent key = wrong base: loud failure
     with pytest.raises(KeyError):
@@ -450,34 +450,30 @@ def run_tiered(dataset, tier, *, shards=4, shm=True, cycles=CYCLES):
 
 
 def test_tier_equivalence_and_byte_reduction(dataset):
-    """All three tiers produce identical bits; delta ships fewest bytes.
+    """Both tiers produce identical bits; delta ships fewer bytes.
 
-    The PR's acceptance invariant: the wire encoding is an implementation
-    detail — shard determinism and final state are unchanged across
-    ``pickle`` / ``columns`` / ``delta`` — while the frame bytes drop
-    tier over tier on a workload with evolving profiles.  The win over
-    the pickle tier is asserted only when the native kernels are live:
-    that pipeline attaches the columnar entry block to gossip messages,
-    which the legacy wire serializes wholesale.  On the scalar/fallback
-    CI legs messages are lean, and at this deliberately tiny scale (36
-    users) interned pickle undercuts the columnar framing overhead —
-    the realistic-scale byte story lives in the benchmark suite.
+    The wire encoding is an implementation detail — shard determinism
+    and final state are unchanged across ``pickle`` / ``delta`` — while
+    the frame bytes drop on a workload with evolving profiles.  The win
+    over the pickle tier is asserted only when the native kernels are
+    live: that pipeline attaches the columnar entry block to gossip
+    messages, which the pickle wire serializes wholesale.  On the
+    scalar/fallback CI legs messages are lean, and at this deliberately
+    tiny scale (36 users) interned pickle undercuts the columnar framing
+    overhead — the realistic-scale byte story lives in the benchmark
+    suite.
     """
     from repro.core.similarity import native_available
 
     state_pickle, mb_pickle = run_tiered(dataset, "pickle")
-    state_columns, mb_columns = run_tiered(dataset, "columns")
     state_delta, mb_delta = run_tiered(dataset, "delta")
-    assert state_columns == state_pickle
     assert state_delta == state_pickle
 
     def frame_bytes(mailbox):
         return sum(s["wire"]["frame_bytes"] for s in mailbox)
 
-    # the delta store can only shrink what the columns tier ships
-    assert frame_bytes(mb_delta) < frame_bytes(mb_columns)
     if native_available():
-        assert frame_bytes(mb_columns) < frame_bytes(mb_pickle)
+        assert frame_bytes(mb_delta) < frame_bytes(mb_pickle)
     # the delta path really fired, and the tier is reported
     assert sum(s["wire"]["delta_profiles"] for s in mb_delta) > 0
     assert {s["wire"]["tier"] for s in mb_delta} == {"delta"}
@@ -500,9 +496,8 @@ def test_delta_tier_deterministic_run_to_run(dataset):
 def test_forced_cap_resets_preserve_equivalence(dataset, monkeypatch):
     """A tiny intern cap forces mid-run table resets on every link.
 
-    The public knob floors the cap at 256 (the env-parse rule), far above
-    this workload's table sizes — patch the module gate directly; the
-    gate snapshot ships it to the workers verbatim.
+    The cap is a module constant far above this workload's table sizes —
+    patch it; the gate snapshot ships it to the workers verbatim.
     """
     state_ref, _ = run_tiered(dataset, "pickle", shards=2, cycles=8)
     monkeypatch.setattr(sharding_mod, "_INTERN_CAP", 8)
