@@ -13,7 +13,8 @@ import pytest
 
 from repro.core import WhatsUpConfig, WhatsUpSystem
 from repro.core.arraystate import array_state
-from repro.core.profiles import FrozenProfile, ItemProfile, UserProfile
+from repro.core.news import ItemCopy, NewsItem
+from repro.core.profiles import FrozenProfile, ItemProfile, PackedView, UserProfile
 from repro.core.similarity import (
     cosine_similarity,
     native_kernel,
@@ -25,6 +26,10 @@ from repro.datasets import survey_dataset
 from repro.gossip.rps import RpsProtocol
 from repro.gossip.vicinity import ClusteringProtocol
 from repro.gossip.views import ArrayView, View, ViewEntry
+from repro.simulation.delivery import split_first_receipts
+from repro.simulation.engine import CycleEngine
+from repro.simulation.node import BaseNode
+from repro.simulation.schedule import PublicationSchedule
 
 #: the two state-plane backends every bookkeeping primitive is measured on
 PLANES = ["legacy", "array"]
@@ -312,3 +317,75 @@ def test_micro_profile_snapshot_pack(benchmark):
 
     ids = benchmark(mutate_and_pack)
     assert ids.size == 200
+
+
+class _Sink(BaseNode):
+    """An alive target with no behaviour: the fan-out only reads liveness."""
+
+    def begin_cycle(self, engine, now):
+        pass
+
+    def receive_item(self, copy, via_like, engine, now):
+        pass
+
+    def publish(self, item, engine, now):
+        pass
+
+
+@pytest.mark.benchmark(group="micro-dissemination")
+def test_micro_fanout_first_receipts(benchmark, monkeypatch):
+    # one liker's fan-out on the batched path: 16 targets, 12 of which have
+    # seen the item already; of the 4 first receipts, 3 dislike it and score
+    # its profile against a 30-peer RPS pool.  Per content, not per send:
+    # no clone, one fork per first receipt, one pack for the whole family.
+    rng = np.random.default_rng(41)
+    item = NewsItem.publish(source=0, created_at=0, title="flash")
+    liker_profile = ItemProfile()
+    for iid in rng.choice(20_000, size=150, replace=False):
+        liker_profile.set(int(iid), 0, float(rng.random()))
+    pool = _candidate_pool(30)
+    targets = list(range(1, 17))
+    first, dislikers = {3, 7, 11, 15}, {3, 7, 11}
+    engine = CycleEngine(
+        [_Sink(i) for i in range(17)], PublicationSchedule([(0, item)])
+    )
+
+    def fanout():
+        # the liker's integrate leaves it a private, never-packed content
+        profile = liker_profile.copy()
+        profile.set(item.item_id, 0, 1.0)
+        copy = ItemCopy(item, profile, hops=2)
+        engine._buffering = True
+        engine.send_fanout(0, targets, copy, via_like=True)
+        engine._buffering = False
+        engine._flush_item_sends()
+        scored = 0
+        for target, rows in engine._future_inboxes.pop(engine.now + 1).items():
+            seen = set() if target in first else {item.item_id}
+            fresh, _duplicates = split_first_receipts(rows, seen)
+            for fork, _via_like in fresh:
+                if target in dislikers:
+                    score_candidates(fork.profile, pool, "wup", owner_role="c")
+                    scored += 1
+        return scored
+
+    counts = {"clone": 0, "fork": 0, "pack": 0}
+
+    def counted(cls, name, key):
+        original = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(ItemCopy, "clone_for_forward", "clone")
+    counted(ItemCopy, "fork", "fork")
+    counted(PackedView, "__init__", "pack")
+    assert fanout() == 3
+    monkeypatch.undo()
+    assert counts["clone"] == 0 and counts["fork"] == 4
+    assert counts["pack"] <= 1  # 0 where the native tier is absent
+    print(f"\nfan-out of 16, 4 first receipts, 3 scored: {counts}")
+    assert benchmark(fanout) == 3

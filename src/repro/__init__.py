@@ -21,9 +21,9 @@ Quickstart
 >>> system.run()
 >>> scores = evaluate_dissemination(system.reached_matrix(), dataset.likes)
 
-See ``README.md`` for the architecture overview, ``DESIGN.md`` for the
-system inventory and per-experiment index, and ``EXPERIMENTS.md`` for
-paper-vs-measured results.
+See ``README.md`` for the front door (quickstart, gate matrix),
+``ARCHITECTURE.md`` ("Layer map") for the system inventory, and
+``python -m repro list`` for the per-experiment index.
 """
 
 from repro.core import (

@@ -277,9 +277,9 @@ class BeepForwarder:
         Equivalent to calling :meth:`forward` once per ``(copy, liked)``
         pair in order, restructured for the batched delivery path:
 
-        * target selection, cloning and shipping run per message in
-          arrival order (identical RNG consumption to the scalar path),
-          with the fan-out shipped through
+        * target selection and shipping run per message in arrival
+          order (identical RNG consumption to the scalar path), with the
+          fan-out shipped uncloned through
           :meth:`~repro.simulation.engine.CycleEngine.send_fanout`;
         * forwarding actions are recorded in one bulk log append, with
           hop counts captured before the fan-out advances the original

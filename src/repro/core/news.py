@@ -11,8 +11,10 @@ Two classes model this:
 
 * :class:`NewsItem` — the immutable published object, shared by every copy;
 * :class:`ItemCopy` — one copy in flight, carrying its own item profile and
-  dislike counter.  Forwarding clones the copy so that divergent paths evolve
-  divergent profiles, exactly as serialized network messages would.
+  dislike counter.  Every receiver that keeps a copy works on a private one
+  (cloned per send on the scalar path, forked per first receipt on the
+  batched path), so divergent paths evolve divergent profiles, exactly as
+  serialized network messages would.
 """
 
 from __future__ import annotations
@@ -92,8 +94,8 @@ class ItemCopy:
     """One copy of a news item in flight.
 
     A plain slotted class (not a dataclass): one instance is created per
-    BEEP transmission, which makes construction cost part of the
-    simulation's innermost loop.
+    BEEP transmission (scalar path) or first receipt (batched path), which
+    makes construction cost part of the simulation's innermost loop.
 
     Attributes
     ----------
@@ -145,15 +147,29 @@ class ItemCopy:
     def advance_hop(self, extra_dislikes: int = 0) -> "ItemCopy":
         """Turn this copy *itself* into its forwarded form (move, no clone).
 
-        The batched fan-out clones a copy for every target but one: the last
-        target can take ownership of the original — the sender never touches
-        the copy again after forwarding — so one profile clone per
-        forwarding action is skipped.  Counters advance exactly as
-        :meth:`clone_for_forward` would set them on a clone.
+        The batched fan-out calls this once per forwarding action and puts
+        the one advanced object in every target's inbox — the sender never
+        touches the copy again after forwarding.  Counters advance exactly
+        as :meth:`clone_for_forward` would set them on a clone.
         """
         self.dislikes += extra_dislikes
         self.hops += 1
         return self
+
+    def fork(self) -> "ItemCopy":
+        """A private copy of an in-flight copy: same counters, own profile.
+
+        A copy in a batched inbox may be shared between recipients; a
+        receiver forks it on first receipt, before keeping or mutating it
+        (duplicates are dropped unforked).  The profile is copy-on-write
+        and joins the original's pack cell (:meth:`ItemProfile.copy`).
+        """
+        clone = ItemCopy.__new__(ItemCopy)
+        clone.item = self.item
+        clone.profile = self.profile.copy()
+        clone.dislikes = self.dislikes
+        clone.hops = self.hops
+        return clone
 
     def wire_size(self) -> int:
         """Modelled serialized size in bytes (header + item profile)."""

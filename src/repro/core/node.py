@@ -199,7 +199,8 @@ class WhatsUpNode(BaseNode):
 
         Same semantics as :meth:`receive_item` applied per message in
         arrival order, restructured into bulk passes: duplicate
-        suppression in one sweep (:func:`split_first_receipts`), then
+        suppression in one sweep (:func:`split_first_receipts`, which
+        forks the first receipts off the shared in-flight copies), then
         opinions and profile updates, then one bulk delivery-log append,
         then BEEP's forwarding fan-out
         (:meth:`~repro.core.beep.BeepForwarder.forward_batch`).  Profile
@@ -240,8 +241,8 @@ class WhatsUpNode(BaseNode):
             d_dislikes.append(copy.dislikes)
             d_via.append(via_like)
 
-        # logged before forwarding: the fan-out advances the original
-        # copy's counters when it moves it to the last target
+        # logged before forwarding: the fan-out advances this node's
+        # private copy in place and ships it to every target
         engine.log_deliveries(
             node_id, d_items, d_hops, d_dislikes, liked_flags, d_via
         )

@@ -43,16 +43,23 @@ kernels (:mod:`repro._native`) and the delta wire
   the next snapshot gets a fresh ``uid`` — the reference key a profile
   crosses a shard link under.
 
-Item-copy profiles are cloned on every BEEP forward; :meth:`ItemProfile.copy`
-is copy-on-write (the clone shares the backing dicts until its first
-mutation), which skips the dict copies entirely for the common
-receive-dislike-forward path that never edits the profile.
+Item-copy profiles are copied once per send (scalar path) or per first
+receipt (batched path); :meth:`ItemProfile.copy` is copy-on-write (the clone
+shares the backing dicts until its first mutation), which skips the dict
+copies entirely for the common receive-dislike-forward path that never
+edits the profile.
 
-Packed arrays follow one discipline: a pack is a function of the score dict
-at one mutation version.  :meth:`Profile.packed` memoises it keyed by
-version and rebuilds it from the dicts when stale, a :class:`FrozenProfile`
-packs on first access, and a copy-on-write clone shares its source's memo
-when that memo is current.  Mutators never touch the arrays.
+Packed arrays follow one discipline: a pack is a function of the score
+dict's content, built from scratch and never edited.  A
+:class:`FrozenProfile` packs on first access.  A mutable profile keeps its
+pack in a one-slot **pack cell** (``_pack_memo``, a one-element list) that
+every copy-on-write co-owner of the same containers shares:
+:meth:`ItemProfile.copy` hands the clone the source's cell,
+:meth:`Profile.packed` fills the cell for the whole family — one build per
+content, however many copies score it — and a mutator *rebinds* its own
+``_pack_memo`` to ``None`` as it leaves the family.  It never clears the
+shared cell in place: the co-owners still hold the content that pack
+describes.
 """
 
 from __future__ import annotations
@@ -158,10 +165,10 @@ class PackedView:
     contact (the compiled kernels call :meth:`_pack` themselves, so the
     pure-Python tier never pays for it).
 
-    Instances are memoised per mutation version by :meth:`Profile.packed`
-    and *shared across copy-on-write clones* — a disliked item forwarded
-    along a chain of uninterested nodes is packed once, then re-scored
-    against each hop's RPS pool from the same arrays.
+    Instances live in the pack cell :meth:`Profile.packed` fills, which a
+    whole copy-on-write family shares — one item content fanned out to many
+    uninterested nodes, or forwarded along a chain of them, is packed once
+    and re-scored against each holder's RPS pool from the same arrays.
     """
 
     __slots__ = (
@@ -238,8 +245,9 @@ class Profile:
         self._version: int = 0
         self._min_ts: float = math.inf
         self._shared: bool = False
-        #: version-keyed :class:`PackedView` memo (``(version, pack)``)
-        self._pack_memo: tuple[int, PackedView] | None = None
+        #: one-slot :class:`PackedView` cell, shared by the copy-on-write
+        #: co-owners of the containers; ``None`` after any mutation
+        self._pack_memo: list[PackedView | None] | None = None
         for entry in entries:
             self.set(entry.item_id, entry.timestamp, entry.score)
 
@@ -273,6 +281,7 @@ class Profile:
         if timestamp < self._min_ts:
             self._min_ts = timestamp
         self._version += 1
+        self._pack_memo = None
 
     def remove(self, item_id: int) -> None:
         """Drop the entry for *item_id* (no-op if absent)."""
@@ -288,6 +297,7 @@ class Profile:
         if old > 0.0:
             self._liked.discard(item_id)
         self._version += 1
+        self._pack_memo = None
 
     def purge_older_than(self, cutoff: int) -> int:
         """Remove all entries with ``timestamp < cutoff``.
@@ -354,16 +364,19 @@ class Profile:
         return self._version
 
     def packed(self) -> PackedView:
-        """Sorted packed id/score arrays, memoised per mutation version.
+        """Sorted packed id/score arrays of the current content.
 
-        Any mutation bumps :attr:`version`, which makes the memo stale;
-        the next call rebuilds it from the dicts.
+        Built once per content: the pack goes into the cell this profile
+        shares with its copy-on-write co-owners, so the first member of a
+        family to be scored packs for all of them.  Every mutator drops
+        this profile's hold on the cell; the next call builds afresh.
         """
-        memo = self._pack_memo
-        if memo is not None and memo[0] == self._version:
-            return memo[1]
-        pack = PackedView(self)
-        self._pack_memo = (self._version, pack)
+        cell = self._pack_memo
+        if cell is None:
+            cell = self._pack_memo = [None]
+        pack = cell[0]
+        if pack is None:
+            pack = cell[0] = PackedView(self)
         return pack
 
     def storage_nbytes(self) -> int:
@@ -379,9 +392,8 @@ class Profile:
             + sys.getsizeof(self._timestamps)
             + sys.getsizeof(self._liked)
         )
-        memo = self._pack_memo
-        if memo is not None:
-            pack = memo[1]
+        pack = self._pack_memo[0] if self._pack_memo is not None else None
+        if pack is not None:
             total += pack.rated_ids.nbytes + pack.rated_scores.nbytes
             total += pack.liked_ids.nbytes
         return total
@@ -729,14 +741,19 @@ class ItemProfile(Profile):
         self._norm2 = norm2
         self._min_ts = min_ts
         self._version += 1
+        self._pack_memo = None
 
     def copy(self) -> "ItemProfile":
         """Logically deep-copy the profile (copy-on-write).
 
-        A forwarded copy evolves independently, but most copies are never
+        A forked copy evolves independently, but most copies are never
         mutated again (a disliking receiver neither integrates nor, usually,
         purges anything), so the clone *shares* the backing containers and
         both sides materialise private copies only on their first mutation.
+        The clone also joins the source's pack cell (made here, empty, when
+        the source has none): whichever co-owner is scored first packs the
+        shared content for all of them.  A pack's arrays are never written
+        after construction, so sharing is safe.
         """
         clone = ItemProfile.__new__(ItemProfile)
         self._shared = True
@@ -747,15 +764,10 @@ class ItemProfile(Profile):
         clone._version = 0
         clone._min_ts = self._min_ts
         clone._shared = True
-        # a current pack describes the shared containers verbatim, so the
-        # clone inherits it under its own version counter (packed once per
-        # dissemination path segment, not once per hop).  A pack's arrays
-        # are never written after construction, so sharing is safe.
-        memo = self._pack_memo
-        if memo is not None and memo[0] == self._version:
-            clone._pack_memo = (0, memo[1])
-        else:
-            clone._pack_memo = None
+        cell = self._pack_memo
+        if cell is None:
+            cell = self._pack_memo = [None]
+        clone._pack_memo = cell
         return clone
 
     def freeze(self) -> FrozenProfile:

@@ -8,7 +8,7 @@
 
 The original traces are not redistributable, so each generator synthesises
 an equivalent workload preserving the structural property the paper's
-evaluation exercises (see DESIGN.md, "Substitutions").  All generators are
+evaluation exercises (ARCHITECTURE.md, "Layer map").  All generators are
 deterministic in their ``seed`` argument.  :func:`dataset_from_likes` wraps
 arbitrary external interest matrices into runnable workloads.
 """

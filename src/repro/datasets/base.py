@@ -14,7 +14,7 @@ The paper's three workloads (Table I) are produced by
 :mod:`repro.datasets.synthetic`, :mod:`repro.datasets.digg` and
 :mod:`repro.datasets.survey`; all of them are *generators* because the
 original traces (an Arxiv crawl, a 2010 Digg crawl and an in-lab survey) are
-not redistributable — see DESIGN.md for the substitution rationale.
+not redistributable (ARCHITECTURE.md, "Layer map", lists the generators).
 """
 
 from __future__ import annotations

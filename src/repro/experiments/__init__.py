@@ -3,7 +3,7 @@
 Key entry points:
 
 * :func:`run_experiment` / :data:`EXPERIMENTS` — the registry keyed by
-  table/figure id (``table3``, ``fig4``, ...), see DESIGN.md §4;
+  table/figure id (``table3``, ``fig4``, ...), see README.md, "Quickstart";
 * :func:`build_system` — system factory by paper name;
 * :func:`run_one` / :func:`fanout_sweep` — building blocks for custom
   studies;

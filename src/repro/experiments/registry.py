@@ -4,7 +4,8 @@ Each entry is a callable ``(scale, seed) -> ExperimentReport``.  The
 benchmark suite (``benchmarks/``) wraps these one-to-one; the CLI
 (``python -m repro run <id>``) invokes them directly.
 
-See DESIGN.md §4 for the experiment ↔ module index.
+See README.md ("Quickstart") for the CLI; ``python -m repro list`` prints
+the experiment index.
 """
 
 from __future__ import annotations

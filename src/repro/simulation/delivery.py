@@ -9,10 +9,14 @@ subsystem that amortises those costs per *cycle* instead:
 * the engine buffers every item send of a cycle and flushes them in one bulk
   pass (one traffic-stats update, one future-inbox extension run, no
   envelopes) — see :meth:`repro.simulation.engine.CycleEngine._flush_item_sends`;
+  a fan-out buffers one forwarded object for all its targets, so a copy
+  in a batched inbox may be shared between recipients: fork before
+  keeping or mutating;
 * nodes receive their whole cycle inbox at once
   (:meth:`repro.simulation.node.BaseNode.receive_items`), which lets WHATSUP
   resolve duplicate suppression with one pass over the batch
-  (:func:`split_first_receipts`), apply profile updates in a single sweep,
+  (:func:`split_first_receipts`, forking first receipts only — most copies
+  of a fan-out die as duplicates), apply profile updates in a single sweep,
   and score every disliked item of the cycle against the same memoised RPS
   pool (:meth:`repro.core.beep.BeepForwarder.forward_batch`).
 
@@ -104,7 +108,10 @@ def split_first_receipts(
 
     Returns ``(fresh, n_duplicates)`` where *fresh* is the ``(copy,
     via_like)`` list in arrival order — exactly the receipts the scalar
-    per-message path would have processed, in the same order.
+    per-message path would have processed, in the same order.  A copy in
+    a batched inbox may be shared with the other recipients of its
+    fan-out, so each fresh row carries a private
+    :meth:`~repro.core.news.ItemCopy.fork`; duplicates are never forked.
 
     The mask is resolved with C-level set membership rather than a packed
     ``np.unique`` first-occurrence pass: the numpy formulation was measured
@@ -121,5 +128,5 @@ def split_first_receipts(
         iid = copy.item.item_id
         if iid not in seen:
             seen.add(iid)
-            fresh.append((copy, via_like))
+            fresh.append((copy.fork(), via_like))
     return fresh, n - len(fresh)

@@ -1,6 +1,7 @@
 """The cycle-based simulation engine.
 
-Per cycle, in order (see DESIGN.md §3):
+Per cycle, in order (ARCHITECTURE.md, "Layer map"; the barrier-split form
+is its "Cycle-barrier lifecycle"):
 
 1. transport per-cycle state resets (congestion counters);
 2. churn injection (optional) — kills and rejoins;
@@ -250,7 +251,8 @@ class CycleEngine:
         flushed in one bulk pass at cycle end (:meth:`_flush_item_sends`)
         — no envelope, no per-message stats update.  The buffered rows
         reach the future inboxes in exactly the order the scalar path
-        would have appended them.
+        would have appended them.  The receiver may fork *copy*, never
+        mutate it in place: pass a copy nothing else will edit.
         """
         if self._buffering:
             target = self.nodes.get(target_id)
@@ -303,13 +305,15 @@ class CycleEngine:
     ) -> None:
         """Fan one item copy out to several targets (BEEP's ship loop).
 
-        Each target receives an independent forwarded copy (hop count +1,
-        optionally a bumped dislike counter).  On the batched path the
-        *last* alive target takes ownership of the original copy — the
-        sender never touches it again — so one profile clone per
-        forwarding action is skipped; all copies are buffered with a
-        single wire-size measurement (clones of one action are the same
-        size: forwarding does not alter the profile).
+        Unbuffered (the scalar reference path), each target is sent its
+        own forwarded clone (hop count +1, optionally a bumped dislike
+        counter), exactly as Algorithm 2 reads.  On the batched path the
+        original is advanced once (:meth:`ItemCopy.advance_hop` — the
+        sender never touches it again) and that one object is buffered
+        for every alive target, with a single wire-size measurement: most
+        copies of a fan-out die as duplicates, so a receiver takes its
+        private copy only for a first receipt
+        (:meth:`~repro.core.news.ItemCopy.fork`).
         """
         extra = 1 if bump_dislikes else 0
         if not self._buffering:
@@ -318,25 +322,16 @@ class CycleEngine:
                     sender_id, target, copy.clone_for_forward(extra), via_like
                 )
             return
+        entry = (sender_id, copy.advance_hop(extra), via_like)
         nodes_get = self.nodes.get
-        alive = []
+        buf = self._send_buf
+        n = 0
         for target in targets:
             node = nodes_get(target)
             if node is not None and node._alive:
-                alive.append(target)
-        dropped = len(targets) - len(alive)
-        if dropped:
-            self._buf_dropped += dropped
-        n = len(alive)
-        if n == 0:
-            return
-        buf = self._send_buf
-        last = alive[-1]
-        for target in alive[:-1]:
-            buf.append(
-                (target, (sender_id, copy.clone_for_forward(extra), via_like))
-            )
-        buf.append((last, (sender_id, copy.advance_hop(extra), via_like)))
+                buf.append((target, entry))
+                n += 1
+        self._buf_dropped += len(targets) - n
         self._buf_bytes += copy.wire_size() * n
         self._pending_items += n
 

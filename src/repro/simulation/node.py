@@ -110,8 +110,9 @@ class BaseNode(ABC):
     ) -> None:
         """Handle the delivery of one item copy.
 
-        Implementations must log the receipt via ``engine.note_receipt`` so
-        duplicates are counted and metrics see every delivery.
+        Implementations must log the receipt via ``engine.log_delivery``
+        (a first receipt) or ``engine.log_duplicate`` so duplicates are
+        counted and metrics see every delivery.
         """
 
     def receive_items(
@@ -126,11 +127,14 @@ class BaseNode(ABC):
         cycle inbox (``(sender, copy, via_like)`` rows in arrival order).
         The default delegates to :meth:`receive_item` per row — protocols
         without a bulk implementation keep exact per-message semantics;
-        overrides must produce the same outcomes as that loop.
+        overrides must produce the same outcomes as that loop.  A copy in
+        a batched inbox may be shared between recipients, so the default
+        hands :meth:`receive_item` a private fork; an override must fork
+        before keeping or mutating a copy.
         """
         receive = self.receive_item
         for _sender, copy, via_like in deliveries:
-            receive(copy, via_like, engine, now)
+            receive(copy.fork(), via_like, engine, now)
 
     @abstractmethod
     def publish(self, item: NewsItem, engine: "CycleEngine", now: int) -> None:

@@ -906,21 +906,21 @@ class _ShardEngine(CycleEngine):
     def send_fanout(
         self, sender_id, targets, copy, via_like, bump_dislikes=False
     ) -> None:
-        local = [t for t in targets if t in self.nodes]
-        if len(local) == len(targets):
+        nodes = self.nodes
+        local = [t for t in targets if t in nodes]
+        if not self._buffering or len(local) == len(targets):
             super().send_fanout(sender_id, targets, copy, via_like, bump_dislikes)
             return
-        extra = 1 if bump_dislikes else 0
+        # advances the original once, even when no leg is local; the remote
+        # legs ship that same object (one pickle per frame, via the memo)
+        super().send_fanout(sender_id, local, copy, via_like, bump_dislikes)
         n_shards = self.n_shards
         item_out = self._item_out
         for target in targets:
-            if target in self.nodes:
-                continue
-            item_out[shard_of(target, n_shards)].append(
-                (target, sender_id, copy.clone_for_forward(extra), via_like)
-            )
-        if local:
-            super().send_fanout(sender_id, local, copy, via_like, bump_dislikes)
+            if target not in nodes:
+                item_out[shard_of(target, n_shards)].append(
+                    (target, sender_id, copy, via_like)
+                )
 
     # -- the barrier-split cycle ------------------------------------------- #
 

@@ -14,14 +14,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import RunConfig
 from repro.core import WhatsUpConfig, WhatsUpSystem
 from repro.core.arraystate import array_state, array_state_enabled
 from repro.core.news import ItemCopy, NewsItem
+from repro.core.profiles import UserProfile
 from repro.core.similarity import (
     batch_scoring,
     native_available,
     native_kernel,
 )
+from repro.datasets import survey_dataset
 from repro.experiments.scale import SCALES
 from repro.network.message import MessageKind
 from repro.network.stats import TrafficStats
@@ -40,6 +43,8 @@ from repro.simulation.engine import CycleEngine
 from repro.simulation.events import DisseminationLog
 from repro.simulation.node import BaseNode
 from repro.simulation.schedule import PublicationSchedule
+from repro.simulation.sharding import _ShardEngine, sharding
+from repro.simulation.wire import LinkDecoder
 from repro.utils.rng import RngStreams
 
 
@@ -96,6 +101,40 @@ class TestScalarBatchEquivalence:
         scalar = _full_state(_run_system(scale, dataset, f_like, cycles, False))
         batch = _full_state(_run_system(scale, dataset, f_like, cycles, True))
         # compare piecewise for actionable failures
+        for key in scalar:
+            assert scalar[key] == batch[key], f"{key} differs"
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_flash_crowd_identical_outcomes(self, shards):
+        """A ``survey-burst``-shaped run: many first receipts per inbox.
+
+        Twenty items a cycle into 60 users at ``f_like=16`` puts several
+        first receipts of one fan-out — one shared in-flight object — in
+        the same cycle's inboxes, next to the duplicates that are dropped
+        unforked.  The reference arm is built here: the per-target-clone
+        scalar pipeline at the same shard count (outcomes are salted by
+        shard count by design, so each count has its own reference).
+        """
+
+        def run(batch: bool):
+            data = survey_dataset(
+                n_base_users=60, n_base_items=40, publish_cycles=2, seed=9
+            )
+            system = WhatsUpSystem(
+                data,
+                WhatsUpConfig(f_like=16),
+                seed=9,
+                run_config=RunConfig(shards=shards, batch_delivery=batch),
+            )
+            try:
+                system.run(drain=True)
+                return _full_state(system)
+            finally:
+                system.close()
+
+        scalar, batch = run(False), run(True)
+        assert scalar["duplicates"] > len(scalar["log"]["d_item"])
+        assert scalar["pending"] == 0
         for key in scalar:
             assert scalar[key] == batch[key], f"{key} differs"
 
@@ -243,22 +282,123 @@ class TestSendFanout:
         assert copy.hops == 0
         assert engine.pending_item_messages() == 3
 
-    def test_buffered_mode_moves_original_to_last_target(self):
+    @pytest.mark.parametrize("dead", [None, 2, 3])
+    def test_buffered_mode_shares_one_forwarded_copy(self, dead):
         nodes = [_CountingNode(i) for i in range(4)]
+        if dead is not None:
+            nodes[dead].alive = False
+        alive = [t for t in (1, 2, 3) if t != dead]
         engine, _item = _engine(nodes)
         engine._buffering = True
         copy = self._fresh_copy()
+        copy.hops, copy.dislikes = 5, 2
         engine.send_fanout(0, [1, 2, 3], copy, via_like=False, bump_dislikes=True)
         rows = engine._send_buf
-        assert [target for target, _entry in rows] == [1, 2, 3]
-        clones = [entry[1] for _target, entry in rows]
-        assert clones[-1] is copy  # moved, not cloned
-        assert all(c.hops == 1 and c.dislikes == 1 for c in clones)
-        # profiles are independent (copy-on-write) but identical in content
-        assert all(c.profile.scores == copy.profile.scores for c in clones)
+        assert [target for target, _entry in rows] == alive
+        # one forwarding action = one in-flight object, advanced exactly once
+        assert all(entry[1] is copy for _target, entry in rows)
+        assert (copy.hops, copy.dislikes) == (6, 3)
         engine._buffering = False
         engine._flush_item_sends()
-        assert engine.stats.delivered[MessageKind.ITEM] == 3
+        assert engine.stats.delivered[MessageKind.ITEM] == len(alive)
+        assert engine.stats.dropped[MessageKind.ITEM] == 3 - len(alive)
+        assert engine.pending_item_messages() == len(alive)
+
+    def test_shard_engine_ships_the_same_object_on_remote_legs(self):
+        item = NewsItem.publish(source=0, created_at=0, title="only")
+        engine = _ShardEngine(
+            [_CountingNode(0), _CountingNode(2)],
+            PublicationSchedule([(0, item)]),
+            PerfectTransport(),
+            RngStreams(3),
+            None,
+            shard=0,
+            n_shards=2,
+        )
+        engine._buffering = True
+        copy = self._fresh_copy()
+        engine.send_fanout(0, [1, 2, 3], copy, via_like=True)
+        assert (copy.hops, copy.dislikes) == (1, 0)
+        assert [(t, e[1] is copy) for t, e in engine._send_buf] == [(2, True)]
+        remote = engine._item_out[1]
+        assert [(t, s, v) for t, s, _c, v in remote] == [(1, 0, True), (3, 0, True)]
+        assert all(row[2] is copy for row in remote)
+        # a fan-out with no local leg still advances exactly once
+        far = self._fresh_copy()
+        engine.send_fanout(0, [1, 3], far, via_like=False, bump_dislikes=True)
+        assert (far.hops, far.dislikes) == (1, 1)
+        assert [row[2] is far for row in remote[2:]] == [True, True]
+        # one frame carries each forwarded object once: the receiving shard
+        # sees the same sharing, and its recipients fork just the same
+        frame = engine.take_mailbox(engine._item_out, "items")[1]
+        rows = LinkDecoder(engine._codec_out[1].tier).decode(frame)
+        assert [r[0] for r in rows] == [1, 3, 1, 3]
+        assert rows[0][2] is rows[1][2] and rows[2][2] is rows[3][2]
+        assert rows[0][2] is not rows[2][2]
+        assert (rows[2][2].hops, rows[2][2].dislikes) == (1, 1)
+
+    def test_forks_are_independent(self):
+        flight = self._fresh_copy()  # rates item 7 at timestamp 0
+        flight.profile.set(8, 5, 0.5)
+        flight.advance_hop(1)
+        before = dict(flight.profile.scores)
+        a, b = flight.fork(), flight.fork()
+        for fork in (a, b):
+            assert fork.item is flight.item
+            assert (fork.hops, fork.dislikes) == (1, 1)
+            assert fork.profile.scores == before
+        liker = UserProfile()
+        liker.record_opinion(9, 3, True)
+        a.profile.integrate(liker)
+        a.advance_hop()
+        b.profile.purge_older_than(4)
+        assert flight.profile.scores == before
+        assert (flight.hops, flight.dislikes) == (1, 1)
+        assert sorted(a.profile.scores) == [7, 8, 9] and a.hops == 2
+        assert sorted(b.profile.scores) == [8] and b.hops == 1
+
+    def test_mutating_receiver_cannot_reach_other_recipients(self):
+        class _Scribbler(_CountingNode):
+            def receive_item(self, copy, via_like, engine, now):
+                copy.profile.set(100 + self.node_id, 0, 1.0)
+                copy.dislikes += 10
+                self.received.append(copy)
+
+            def publish(self, item, engine, now):
+                pass
+
+        nodes = [_Scribbler(i) for i in range(4)]
+        engine, _item = _engine(nodes)
+        copy = self._fresh_copy()
+        with delivery_batching(True):
+            engine._buffering = True
+            engine.send_fanout(0, [1, 2, 3], copy, via_like=True)
+            engine._buffering = False
+            engine._flush_item_sends()
+            engine.run(2)
+        for node in nodes[1:]:
+            (kept,) = node.received
+            assert kept is not copy
+            assert sorted(kept.profile.scores) == [7, 100 + node.node_id]
+            assert kept.dislikes == 10
+        assert sorted(copy.profile.scores) == [7] and copy.dislikes == 0
+
+    def test_duplicates_are_never_forked(self, monkeypatch):
+        forks = []
+        fork = ItemCopy.fork
+        monkeypatch.setattr(
+            ItemCopy, "fork", lambda self: forks.append(1) or fork(self)
+        )
+        data = survey_dataset(n_base_users=30, n_base_items=24, seed=3)
+        with delivery_batching(True), sharding(1):
+            system = WhatsUpSystem(data, WhatsUpConfig(f_like=8), seed=3)
+            system.run(drain=True)
+        log = system.engine.log
+        hops = log.arrays()["d_hops"]
+        assert log.duplicates > 0
+        # one fork per first receipt; a publisher's own receipt (hops 0)
+        # is not a receipt off the wire
+        assert len(forks) == int((hops > 0).sum())
 
 
 class TestSplitFirstReceipts:

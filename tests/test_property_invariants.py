@@ -12,6 +12,10 @@ inputs rather than one fixed seed:
   ``snapshot``/``freeze``, a profile's memoised :class:`PackedView` and its
   snapshots' packed columns equal a sort of the score dict, and
   copy-on-write clones keep the state they were cloned at.
+* **Copy-on-write family = one pack per content** — over a generated tree
+  of ``copy()``-related item profiles, a held pack always describes its
+  holder's own scores, a member that mutates never returns the family's
+  pack again, and the un-mutated members share one :class:`PackedView`.
 * **Scoring tiers = scalar metrics** — the fused native kernels and the
   set-algebra pool loops return the scalar metrics' exact bits for every
   metric and both orientations.
@@ -261,6 +265,112 @@ def test_pack_memo_is_version_stable(kind, ops):
     for op in ops:
         profile = _apply(profile, op, [])
     assert profile.packed() is profile.packed()
+
+
+# --------------------------------------------------------------------------- #
+# copy-on-write family = one pack per content                                 #
+# --------------------------------------------------------------------------- #
+
+_family_ops = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=2**16),  # which member (mod size)
+        st.one_of(
+            _set_op,
+            _remove_op,
+            _purge_op,
+            _pack_op,
+            _integrate_op,
+            st.tuples(st.just("clear")),
+            st.tuples(st.just("fork")),  # member.copy() joins the family
+        ),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+def _held_pack(profile):
+    """The pack *profile* would return from ``packed()`` unbuilt, or ``None``."""
+    cell = profile._pack_memo
+    return None if cell is None else cell[0]
+
+
+@given(ops=_family_ops)
+@example(  # pack the family, then one member leaves it by each mutator
+    [
+        (0, ("set", 1, 3, 1.0)),
+        (0, ("set", 2, 5, 0.5)),
+        (0, ("fork",)),
+        (0, ("fork",)),
+        (1, ("fork",)),
+        (2, ("pack",)),
+        (0, ("integrate", {1: True, 9: False}, 4)),
+        (1, ("purge", 4)),
+        (2, ("clear",)),
+        (3, ("remove", 2)),
+    ]
+)
+def test_cow_family_packs_track_each_members_content(ops):
+    """Interleaved forks, mutations and packs over a tree of item profiles.
+
+    After every step, every pack a member holds equals a from-scratch
+    build of *that member's* scores — a sibling's mutation, detach or
+    re-pack never shows through the shared cell — and a member whose
+    content changed no longer returns the pack its family shares.
+    """
+    members = [ItemProfile()]
+    for pick, op in ops:
+        member = members[pick % len(members)]
+        before, family_pack = dict(member.scores), _held_pack(member)
+        if op[0] == "fork":
+            members.append(member.copy())
+        elif op[0] == "clear":
+            member.clear()
+        else:
+            _apply(member, op, [])
+        if family_pack is not None and member.scores != before:
+            assert member.packed() is not family_pack
+        for m in members:
+            held = _held_pack(m)
+            if held is not None:
+                _assert_columns_from_scratch(held, m.scores, m.norm)
+    for m in members:
+        _assert_columns_from_scratch(m.packed(), m.scores, m.norm)
+        assert m.packed() is m.packed()
+
+
+@given(
+    scores=st.dictionaries(
+        _pack_item_ids, st.sampled_from([0.0, 0.5, 1.0]), max_size=8
+    ),
+    parents=st.lists(st.integers(min_value=0, max_value=2**16), max_size=12),
+    packed_early=st.booleans(),
+    leavers=st.sets(st.integers(min_value=0, max_value=12)),
+)
+def test_unmutated_siblings_share_one_pack_build(
+    scores, parents, packed_early, leavers
+):
+    """N co-owners of one content cost exactly one ``PackedView`` build."""
+    root = make_item_profile(scores)
+    if packed_early:
+        root.packed()  # forks made after the pack join its cell all the same
+    family = [root]
+    for pick in parents:
+        family.append(family[pick % len(family)].copy())
+    packs = [m.packed() for m in reversed(family)]
+    assert all(pack is packs[0] for pack in packs)
+    # members that leave take nothing with them: the rest keep the one pack
+    gone = {i for i in leavers if i < len(family)}
+    for i in gone:
+        family[i].set(61, 0, 1.0)
+        assert family[i].packed() is not packs[0]
+        _assert_columns_from_scratch(
+            family[i].packed(), family[i].scores, family[i].norm
+        )
+    for i, m in enumerate(family):
+        if i not in gone:
+            assert m.packed() is packs[0]
+            _assert_columns_from_scratch(m.packed(), scores, m.norm)
 
 
 # --------------------------------------------------------------------------- #
