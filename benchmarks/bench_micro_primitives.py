@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.core import WhatsUpConfig, WhatsUpSystem
-from repro.core.arraystate import array_state
 from repro.core.news import ItemCopy, NewsItem
 from repro.core.profiles import FrozenProfile, ItemProfile, PackedView, UserProfile
 from repro.core.similarity import (
@@ -216,16 +215,14 @@ def test_micro_view_upsert_all(benchmark, plane):
 def test_micro_view_upsert_columns_kernel(benchmark):
     # the columnar shipment path: one state_upsert kernel call (array
     # plane only; falls back to upsert_all without the extension)
-    with array_state(True):
-        sender = RpsProtocol(1, 30, np.random.default_rng(0))
-        sender.view.upsert_all(_descriptor_batch(30, seed=9))
-        profile = UserProfile()
-        profile.record_opinion(3, 0, True)
-        payload, _wire, cols = sender._shipment(
-            profile.snapshot(), 5, exclude=2
-        )
-        view = _view("array", seed=11)
-        benchmark(view.upsert_columns, payload, cols)
+    sender = RpsProtocol(1, 30, np.random.default_rng(0))
+    sender.view = ArrayView(30, owner_id=1)
+    sender.view.upsert_all(_descriptor_batch(30, seed=9))
+    profile = UserProfile()
+    profile.record_opinion(3, 0, True)
+    payload, _wire, cols = sender._shipment(profile.snapshot(), 5, exclude=2)
+    view = _view("array", seed=11)
+    benchmark(view.upsert_columns, payload, cols)
 
 
 @pytest.mark.benchmark(group="micro-bookkeeping")

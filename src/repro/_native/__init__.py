@@ -4,17 +4,20 @@ This package hosts the **native tier** of the two-tier similarity
 dispatch (native → set-algebra/scalar, see
 :mod:`repro.core.similarity`): a small C extension, built with cffi from
 :mod:`repro._native.build_native`, that scores packed candidate pools,
-performs the merge trim / argmax selections, and runs the array-state
-bookkeeping (``state_*`` kernels) at C speed.
+performs the merge trim / argmax selections, and runs the
+:class:`~repro.gossip.views.ArrayView` bookkeeping (``state_*`` kernels)
+at C speed — for the ``fast`` pipeline; ``reference`` never consults it.
 
 The extension is strictly optional:
 
 * when the compiled module is absent (no C toolchain, fresh checkout), the
   loader reports "unavailable" and every caller stays on the pure-Python
-  tier — the tree imports and passes its test suite without a compiler;
+  tier with dict views — the tree imports and passes its test suite
+  without a compiler;
 * ``REPRO_NATIVE=0`` (or :func:`set_native_kernel` /
-  :func:`native_kernel`) disables the native tier even when the extension
-  is built, which the equivalence tests use to prove all tiers produce
+  :func:`native_kernel`) mirrors that platform property on a machine
+  that has the extension — the no-compiler pipeline, store included —
+  which the equivalence tests use to prove both tiers produce
   bitwise-identical outcomes.
 
 Build in place (writes ``_kernels.*.so`` next to this file)::

@@ -1,13 +1,10 @@
 """The typed run-configuration API: one object for the whole gate matrix.
 
-The pipeline grew one ``REPRO_*`` env gate per performance layer — batch
-scoring, batched delivery, native kernels, the array state plane, shard
-count, shared memory, the wire tier, faults, recovery, and half a dozen
-sharding knobs.  Each has its own module, setter, and context manager;
-programmatic callers had to know all of them and stack the restore
-guards by hand.
-
-:class:`RunConfig` replaces that soup with a frozen dataclass:
+One two-valued ``mode`` (``reference`` | ``fast``,
+:mod:`repro.core.gates`) selects the pipeline; the layers around it — the
+native tier, sharding, the wire tier, faults, recovery, timeouts — each
+have a ``REPRO_*`` variable, a module setter and a context manager.
+:class:`RunConfig` holds all of them in a frozen dataclass:
 
 >>> from repro.api import RunConfig
 >>> cfg = RunConfig(shards=4, wire_tier="delta", faults="crash@5:1:q")
@@ -18,7 +15,8 @@ guards by hand.
 or, equivalently, pass it where engines are built —
 ``WhatsUpSystem(dataset, run_config=cfg)``, ``make_engine(...,
 run_config=cfg)``, ``run_experiment(exp_id, scale, run_config=cfg)`` —
-and the construction runs under :meth:`RunConfig.apply` for you.
+and construction (for ``WhatsUpSystem`` also every run and join) executes
+under :meth:`RunConfig.apply` for you.
 
 The env vars remain as the *defaults-loading layer*:
 :meth:`RunConfig.from_env` parses them with exactly the rules the
@@ -37,7 +35,15 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping
 
-from repro.core.gates import env_choice, env_flag, env_float, env_int, env_raw
+from repro.core.gates import (
+    MODES,
+    env_choice,
+    env_flag,
+    env_float,
+    env_int,
+    env_raw,
+    set_mode,
+)
 
 __all__ = ["RunConfig"]
 
@@ -52,16 +58,15 @@ class RunConfig:
     ``WhatsUpSystem`` / ``make_engine`` / ``run_experiment``).
     """
 
-    # -- pipeline gates (each a module gate with its own setter) ---------- #
-    #: pool-at-a-time similarity scoring (``REPRO_BATCH_SIM``)
-    batch_sim: bool = True
-    #: per-cycle batched item delivery (``REPRO_BATCH_DELIVERY``)
-    batch_delivery: bool = True
-    #: compiled C kernels where available (``REPRO_NATIVE``); harmless to
-    #: leave on when the extension is absent — dispatch falls back
+    # -- pipeline ---------------------------------------------------------- #
+    #: ``reference`` — the paper's algorithms as written (per-pair scalar
+    #: scoring, one envelope at a time, dict views), the equivalence
+    #: oracle — or ``fast`` (``REPRO_MODE``)
+    mode: str = "fast"
+    #: compiled C kernels for ``fast`` (``REPRO_NATIVE``); mirrors a
+    #: platform property — without the extension the tier is off whatever
+    #: this says, and setting it off reproduces the no-compiler box
     native: bool = True
-    #: columnar array-backed view state (``REPRO_ARRAY_STATE``)
-    array_state: bool = True
 
     # -- sharding --------------------------------------------------------- #
     #: worker-process count; 1 = single-process (``REPRO_SHARDS``)
@@ -107,6 +112,8 @@ class RunConfig:
         from repro.simulation.sharding import _RECOVERY_MODES
         from repro.simulation.wire import WIRE_TIERS
 
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r} (expected one of {MODES})")
         if self.wire_tier not in WIRE_TIERS:
             raise ValueError(
                 f"unknown wire tier {self.wire_tier!r} "
@@ -138,10 +145,8 @@ class RunConfig:
 
         env = os.environ if environ is None else environ
         return cls(
-            batch_sim=env_flag("REPRO_BATCH_SIM", env=env),
-            batch_delivery=env_flag("REPRO_BATCH_DELIVERY", env=env),
+            mode=env_choice("REPRO_MODE", "fast", MODES, env=env),
             native=env_flag("REPRO_NATIVE", env=env),
-            array_state=env_flag("REPRO_ARRAY_STATE", env=env),
             shards=env_int("REPRO_SHARDS", 1, floor=1, env=env),
             shard_shm=env_flag("REPRO_SHARD_SHM", env=env),
             wire_tier=env_choice("REPRO_SHARD_WIRE", "delta", WIRE_TIERS, env=env),
@@ -172,10 +177,8 @@ class RunConfig:
         schedule is set, matching the unset-means-none convention.
         """
         env = {
-            "REPRO_BATCH_SIM": "1" if self.batch_sim else "0",
-            "REPRO_BATCH_DELIVERY": "1" if self.batch_delivery else "0",
+            "REPRO_MODE": self.mode,
             "REPRO_NATIVE": "1" if self.native else "0",
-            "REPRO_ARRAY_STATE": "1" if self.array_state else "0",
             "REPRO_SHARDS": str(self.shards),
             "REPRO_SHARD_SHM": "1" if self.shard_shm else "0",
             "REPRO_SHARD_WIRE": self.wire_tier,
@@ -203,19 +206,16 @@ class RunConfig:
     def apply(self) -> Iterator["RunConfig"]:
         """Activate every gate and knob; restore all prior state on exit.
 
-        The one context manager replacing the per-module stack
-        (``batch_scoring`` + ``delivery_batching`` + ``native_kernel`` +
-        ``array_state`` + ``sharding`` + ``shard_shm`` + ``shard_wire`` +
-        ``faults`` + knob monkeypatching).  Settings are consulted when
-        engines are *constructed*: build (or run) the system inside the
-        block; an engine keeps its configuration after the block exits.
+        The one context manager replacing the per-module stack.  The
+        sharding knobs are consulted when an engine is *constructed*;
+        ``mode`` and ``native`` are read per merge and per cycle, and the
+        view store is chosen when a node is built — so build *and* run
+        the system inside the block, as ``WhatsUpSystem(run_config=…)``
+        does.
         Exception-safe — the previous state comes back even when the
         guarded block raises.
         """
         from repro._native import set_native_kernel
-        from repro.core.arraystate import set_array_state
-        from repro.core.similarity import set_batch_scoring
-        from repro.simulation.delivery import set_delivery_batching
         from repro.simulation.faults import set_fault_schedule
         from repro.simulation.sharding import (
             set_shard_count,
@@ -230,10 +230,8 @@ class RunConfig:
             undo.append((setter, setter(value)))
 
         try:
-            _set(set_batch_scoring, self.batch_sim)
-            _set(set_delivery_batching, self.batch_delivery)
+            _set(set_mode, self.mode)
             _set(set_native_kernel, self.native)
-            _set(set_array_state, self.array_state)
             _set(set_shard_count, self.shards)
             _set(set_shard_shm, self.shard_shm)
             _set(set_wire_tier, self.wire_tier)

@@ -28,11 +28,11 @@ import numpy as np
 
 from repro._native import kernel as _native
 from repro.core.config import WhatsUpConfig
+from repro.core.gates import fast_mode
 from repro.core.news import ItemCopy
 from repro.core.similarity import (
     NATIVE_MIN_PAIRS,
     MetricFn,
-    batch_scoring_enabled,
     get_metric,
     metric_name_of,
     score_candidates,
@@ -161,7 +161,7 @@ class BeepForwarder:
         if k == 0:
             return []
         item_profile = copy.profile
-        if self.metric_name is not None and batch_scoring_enabled():
+        if self.metric_name is not None and fast_mode():
             # one pass over the memoised pool: the item profile is the
             # candidate side ("c") of the asymmetric metric, the RPS peers
             # the choosers.  Scores come out in stable view order; the

@@ -24,20 +24,39 @@ Parse rules (shared with ``RunConfig.from_env``):
 The helpers accept an explicit ``env`` mapping so ``RunConfig.from_env``
 (and tests) can parse arbitrary snapshots without touching the process
 environment.
+
+The pipeline mode
+-----------------
+
+The one gate this module owns: ``REPRO_MODE`` / ``RunConfig.mode``.
+``reference`` is the paper's Algorithms 1–2 as written — per-pair scalar
+scoring, one envelope at a time, dict views, never the native kernels —
+and the oracle every equivalence test compares against; ``fast`` (the
+default) scores whole pools, batches a cycle's deliveries and, on the
+native tier, keeps views in columns
+(:func:`repro.gossip.views.array_views`). Outcomes are
+**bitwise-identical** at fixed seeds.  The mode is read per merge, per
+forward and per cycle: build *and* run a system inside one :func:`mode`
+block (``RunConfig.apply`` does).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Mapping
+from contextlib import contextmanager
+from typing import Iterator, Mapping
 
 __all__ = [
     "DISABLED_WORDS",
+    "MODES",
     "env_flag",
     "env_int",
     "env_float",
     "env_choice",
     "env_raw",
+    "fast_mode",
+    "set_mode",
+    "mode",
 ]
 
 #: the flag spellings that turn a gate off (case-insensitive)
@@ -109,3 +128,34 @@ def env_raw(
 ) -> str:
     """The verbatim variable value; callers own any further parsing."""
     return _mapping(env).get(name, default)
+
+
+#: the two pipelines, oracle first
+MODES = ("reference", "fast")
+
+_fast = env_choice("REPRO_MODE", "fast", MODES) == "fast"
+
+
+def fast_mode() -> bool:
+    """Whether the ``fast`` pipeline is active (else ``reference``)."""
+    return _fast
+
+
+def set_mode(name: str) -> str:
+    """Select the pipeline by name; returns the previous mode's name."""
+    global _fast
+    if name not in MODES:
+        raise ValueError(f"unknown mode {name!r} (expected one of {MODES})")
+    previous = "fast" if _fast else "reference"
+    _fast = name == "fast"
+    return previous
+
+
+@contextmanager
+def mode(name: str) -> Iterator[None]:
+    """Context manager pinning the pipeline mode, restoring it on exit."""
+    previous = set_mode(name)
+    try:
+        yield
+    finally:
+        set_mode(previous)

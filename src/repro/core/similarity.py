@@ -57,31 +57,21 @@ it.  Both tiers produce **bitwise-identical** scores (integer set counts;
 weighted sums accumulated in one canonical ascending-id order; the same
 IEEE-754 expression shapes), so the dispatch is invisible to callers.
 
-The batch path can be disabled globally (``REPRO_BATCH_SIM=0`` or
-:func:`set_batch_scoring`), which restores the scalar per-pair path — the
-reference the equivalence tests compare every tier against.  Tests and
-benchmarks should prefer the restore-guarded context managers
-(:func:`batch_scoring`, :func:`scoring_disabled`,
-:func:`repro._native.native_kernel`) over the raw setters, so a failure
-inside a block cannot leak a global into unrelated code.
+Pool scoring belongs to the ``fast`` pipeline: under
+``REPRO_MODE=reference`` the protocols score every pair with the scalar
+metric instead — the reference the equivalence tests compare both tiers
+against.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from typing import Callable, Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
 from repro._native import kernel as _native
-from repro._native import (
-    native_available,
-    native_kernel,
-    native_kernel_enabled,
-    set_native_kernel,
-)
-from repro.core.gates import env_flag
+from repro._native import native_available, native_kernel
 from repro.utils.exceptions import ConfigurationError
 
 __all__ = [
@@ -94,14 +84,8 @@ __all__ = [
     "available_metrics",
     "metric_name_of",
     "score_candidates",
-    "batch_scoring_enabled",
-    "set_batch_scoring",
-    "batch_scoring",
-    "scoring_disabled",
     "native_available",
     "native_kernel",
-    "native_kernel_enabled",
-    "set_native_kernel",
     "pairwise_cosine",
     "pairwise_wup",
     "similarity_matrix",
@@ -316,54 +300,8 @@ def metric_name_of(metric: MetricFn | str) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# Batch scoring: gates and the two-tier pool dispatch
+# Batch scoring: the two-tier pool dispatch
 # ---------------------------------------------------------------------------
-
-_batch_enabled = env_flag("REPRO_BATCH_SIM")
-
-
-def batch_scoring_enabled() -> bool:
-    """Whether the batch (whole-pool) scoring path is active."""
-    return _batch_enabled
-
-
-def set_batch_scoring(enabled: bool) -> bool:
-    """Enable/disable the batch path; returns the previous setting.
-
-    The scalar fallback produces identical rankings (and, for the canonical
-    summation order, identical scores); the switch exists for equivalence
-    benchmarks and debugging.  Prefer the :func:`batch_scoring` context
-    manager outside hot paths — it restores the previous setting even when
-    the guarded block raises.
-    """
-    global _batch_enabled
-    previous = _batch_enabled
-    _batch_enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def batch_scoring(enabled: bool):
-    """Context manager pinning the batch-scoring gate, restoring on exit."""
-    previous = set_batch_scoring(enabled)
-    try:
-        yield
-    finally:
-        set_batch_scoring(previous)
-
-
-@contextmanager
-def scoring_disabled():
-    """Force the scalar per-pair scoring path inside the block.
-
-    Turns off both the batch gate and the native gate and restores the
-    previous settings on exit — the restore-guarded way for tests and
-    benchmarks to exercise the reference scalar path without poisoning
-    module globals for the rest of the process.
-    """
-    with batch_scoring(False), native_kernel(False):
-        yield
-
 
 #: The native tier's crossover: a kernel call carries a few µs of fixed
 #: overhead (cffi dispatch, result-array allocation, first-contact packing

@@ -64,11 +64,10 @@ class WhatsUpSystem(SystemHarness):
         Optional churn model.
     run_config:
         Optional :class:`repro.api.RunConfig` pinning the whole pipeline
-        gate matrix (shards, wire tier, kernels, faults, …) for this
-        system.  Construction and every :meth:`run` execute under
-        ``run_config.apply()``, so the configuration holds without
-        touching env vars or module gates — the programmatic replacement
-        for the ``REPRO_*`` environment soup.
+        gate matrix (mode, shards, wire tier, kernels, faults, …) for this
+        system.  Construction, every :meth:`run` and every
+        :meth:`join_node` execute under ``run_config.apply()``, so the
+        configuration holds without touching env vars or module gates.
 
     Examples
     --------
@@ -160,8 +159,8 @@ class WhatsUpSystem(SystemHarness):
         adopted back into the parent afterwards, and ``self.nodes`` is
         re-pointed at the collected node objects so post-run analyses
         (profiles, views, seen sets) read the real final state.  With a
-        ``run_config``, the cycles execute under it (the per-cycle gates
-        — batch scoring, delivery batching — are read at cycle time).
+        ``run_config``, the cycles execute under it (the pipeline mode is
+        read at merge and cycle time).
         """
         with self._configured():
             super().run(cycles, drain=drain)
@@ -207,7 +206,6 @@ class WhatsUpSystem(SystemHarness):
                     "explicit opinion oracle"
                 )
             opinion = self.oracle
-        joiner = WhatsUpNode(node_id, self.config, opinion, self.streams)
         rng = self.streams.get("join")
         if contact_id is None:
             alive = self.engine.alive_node_ids()
@@ -222,12 +220,14 @@ class WhatsUpSystem(SystemHarness):
         item_timestamps = {
             item.item_id: item.created_at for item in self.dataset.items
         }
-        bootstrap_from_contact(
-            joiner,
-            contact,
-            self.engine.now,
-            item_timestamps=item_timestamps,
-        )
+        with self._configured():
+            joiner = WhatsUpNode(node_id, self.config, opinion, self.streams)
+            bootstrap_from_contact(
+                joiner,
+                contact,
+                self.engine.now,
+                item_timestamps=item_timestamps,
+            )
         self.engine.add_node(joiner)
         self.nodes.append(joiner)
         return joiner

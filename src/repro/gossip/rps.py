@@ -65,7 +65,7 @@ class RpsMessage(NamedTuple):
         The shipped ``(ids, ts, wire)`` columns aligned with *entries*,
         sliced from the sender's view columns — the receiver's merge
         consumes them directly (:meth:`ArrayView.upsert_columns`) with no
-        per-entry field marshaling.  ``None`` on the legacy backend.
+        per-entry field marshaling.  ``None`` on the dict backend.
     """
 
     sender: int
@@ -183,7 +183,7 @@ class RpsProtocol:
         implementations.  Returns ``(payload, wire, cols)``: on the array
         state plane the shipment's ``(ids, ts, wire)`` columns are sliced
         off the view's own columns and its byte size comes from one wire-
-        column sum; the legacy backend returns ``(payload, None, None)``
+        column sum; the dict backend returns ``(payload, None, None)``
         and the message measures itself by walking descriptors — same
         bytes either way.
         """

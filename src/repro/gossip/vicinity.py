@@ -26,10 +26,10 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from repro._native import kernel as _native
+from repro.core.gates import fast_mode
 from repro.core.similarity import (
     MetricFn,
     _native_pool_code,
-    batch_scoring_enabled,
     get_metric,
     metric_name_of,
     score_candidates,
@@ -147,7 +147,7 @@ class ClusteringProtocol:
         """Own fresh descriptor + the whole view but *exclude*, priced.
 
         On the array state plane the shipment's byte size comes off the
-        view's wire column in one pass; the legacy backend leaves it
+        view's wire column in one pass; the dict backend leaves it
         ``None`` and the message measures itself by walking descriptors.
         """
         view = self.view
@@ -208,21 +208,22 @@ class ClusteringProtocol:
         """Union own view + received + RPS candidates; keep the closest.
 
         Candidate scores use ``metric(own_profile, candidate_profile)`` —
-        the owner is the "chooser" ``n`` of the asymmetric metric.  When
-        the metric is registered, the whole pool is scored in one pass:
-        on the native tier the entire merge inner loop (scoring + trim)
-        runs in compiled code (``merge_rank``); otherwise
+        the owner is the "chooser" ``n`` of the asymmetric metric.  In
+        ``fast`` mode with a registered metric the pool is scored in one
+        pass: on the native tier the entire merge inner loop (scoring +
+        trim) runs in compiled code (``merge_rank``); otherwise
         :func:`~repro.core.similarity.score_candidates` scores the pool
         (set-algebra loop, else the scalar metric per pair) and
         :meth:`~repro.gossip.views.View.trim_ranked_aligned` trims.
-        Both tiers produce bitwise-identical rankings.
+        ``reference`` mode scores one pair at a time
+        (:meth:`~repro.gossip.views.View.trim_ranked`), to the same bits.
         """
         view = self.view
         view.upsert_columns(received, received_cols)
         view.upsert_columns(rps_entries, rps_cols)
         if len(view) <= view.capacity:
             return  # nothing to evict: skip scoring entirely
-        if self.metric_name is not None and batch_scoring_enabled():
+        if self.metric_name is not None and fast_mode():
             entries = view.entries()
             nk = _native()
             if nk is not None:

@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import heapq
 from contextlib import suppress
-from operator import index as _index
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from repro._native import kernel as _native
-from repro.core.arraystate import array_state_enabled
+from repro.core.gates import fast_mode
 from repro.core.profiles import FrozenProfile
 from repro.utils.exceptions import ConfigurationError
 
@@ -34,6 +33,7 @@ __all__ = [
     "ViewEntry",
     "View",
     "ArrayView",
+    "array_views",
     "make_view",
     "descriptor_wire_size",
     "shipment_wire_size",
@@ -253,7 +253,7 @@ class View:
         entries: "tuple[ViewEntry, ...] | list[ViewEntry]",
         cols: "object | None" = None,
     ) -> None:
-        """Merge a shipment; the legacy backend ignores shipped columns.
+        """Merge a shipment; the dict backend ignores shipped columns.
 
         The facade twin of :meth:`ArrayView.upsert_columns`: callers hand
         over whatever the message carried and each backend consumes what
@@ -262,7 +262,7 @@ class View:
         self.upsert_all(entries)
 
     def entries_with_columns(self):
-        """``(entries, None)`` — the legacy backend has no columns."""
+        """``(entries, None)`` — the dict backend has no columns."""
         return self._entry_list(), None
 
     def upsert_all(self, entries: Iterable[ViewEntry]) -> None:
@@ -400,40 +400,10 @@ class View:
         (``numpy.lexsort`` and ``heapq.nlargest`` formulations were both
         measured and rejected: slower at the merge pool sizes the
         protocols produce, ~40-70 candidates.)
-
-        With the native tier active (:mod:`repro._native`) the selection
-        runs through the compiled ``rank_topk`` kernel instead — the same
-        descending ``(score, timestamp, -node_id)`` total order (node ids
-        are unique, so the order is deterministic), the same kept set, the
-        same kept *dict order*, hence identical downstream RNG draws.
         """
         k = len(entries)
         if k <= self.capacity:
             return
-        nk = _native()
-        if nk is not None and k >= _NATIVE_TRIM_MIN_ROWS:
-            try:
-                # operator.index rejects non-integer keys (a float
-                # timestamp would otherwise be silently truncated by the
-                # int64 conversion and sort on different keys than the
-                # Python tuple sort below)
-                keep = nk.rank_topk(
-                    np.fromiter(scores, dtype=np.float64, count=k),
-                    np.fromiter(
-                        (_index(e[3]) for e in entries), np.int64, count=k
-                    ),
-                    np.fromiter(
-                        (_index(e[0]) for e in entries), np.int64, count=k
-                    ),
-                    self.capacity,
-                )
-            except (OverflowError, ValueError, TypeError):
-                # exotic timestamps / node ids (non-integers, outside
-                # int64): the Python tuple sort handles arbitrary keys
-                keep = None
-            if keep is not None:
-                self.keep_ranked(entries, keep)
-                return
         rows = sorted(
             (
                 (scores[i], e[3], -e[0], i)
@@ -500,11 +470,11 @@ class ArrayView:
     replacement keeps the slot, insertion appends, deletion compacts
     preserving relative order — and every method draws RNG exactly as its
     :class:`View` counterpart, so a fixed-seed run is **bitwise
-    identical** under either backend (the array-state equivalence tests
-    enforce this end to end).
+    identical** under either backend (``tests/test_pipeline_grid.py``
+    enforces this end to end).
 
     Node ids and timestamps must fit ``int64`` (every simulation id is a
-    small int; exotic keys belong on the legacy backend).
+    small int; exotic keys belong on the dict backend).
 
     Columnar shipments are described by a ``(ref, stride, count)`` tuple
     — the backing ``(3, stride)`` array (kept alive by the tuple), its
@@ -585,7 +555,7 @@ class ArrayView:
             return size
         size = descriptor_wire_size(entry)
         # mutable / foreign profile-likes take no memo: store a sentinel so
-        # wire sums recompute them per call, exactly like the legacy walk
+        # wire sums recompute them per call, like the dict backend's walk
         if getattr(profile, "wire_cache", None) is None:
             return -1
         return size
@@ -656,7 +626,7 @@ class ArrayView:
 
         The native tier resolves the tail selection in one pass over the
         columns; the numpy fallback takes a min + tie-scan.  Both produce
-        the same slot as the legacy ``min(entries, key=(ts, nid))``.
+        the same slot as :class:`View`'s ``min(entries, key=(ts, nid))``.
         """
         n = self._n
         if n == 0:
@@ -868,7 +838,7 @@ class ArrayView:
 
     def upsert_all(self, entries: Iterable[ViewEntry]) -> None:
         """Bulk :meth:`upsert` — the same sequential freshest-wins loop
-        as the legacy dict, applied to the columns, so both backends make
+        as the dict backend, applied to the columns, so both backends make
         identical replacements in identical order.  Columnar shipments
         take :meth:`upsert_columns` instead, which runs the loop in C.
         """
@@ -938,7 +908,7 @@ class ArrayView:
     def trim_random(self, rng: np.random.Generator) -> None:
         """Shrink to capacity by keeping a uniform random sample.
 
-        Draws the same ``rng.permutation`` prefix as the legacy backend,
+        Draws the same ``rng.permutation`` prefix as the dict backend,
         so both consume identical randomness and keep identical peers.
         """
         n = self._n
@@ -992,7 +962,8 @@ class ArrayView:
 
         *entries* must be the slot-aligned snapshot the caller just
         scored; the state block is rebuilt by one gather pass in rank
-        order — the same kept order as the legacy dict rebuild.
+        order — the same kept order as :meth:`View.keep_ranked`'s dict
+        rebuild.
         """
         n = self._n
         if len(entries) == n and (n == 0 or entries[0] is self._pobj[0]):
@@ -1032,7 +1003,7 @@ class ArrayView:
         native ``rank_topk`` kernel reads the timestamp/id columns
         directly — no per-entry ``fromiter`` marshaling — and the Python
         fallback runs the same ``(score, timestamp, -node_id)`` tuple
-        sort as the legacy backend.
+        sort as the dict backend.
         """
         k = len(entries)
         if k <= self.capacity:
@@ -1157,7 +1128,7 @@ class ArrayView:
         if n == 0 or sizes.min() >= 0:
             return int(sizes.sum())
         # sentinel slots (non-memoisable profiles) re-measure per call,
-        # matching the legacy walk's behaviour for mutable profile-likes
+        # matching the dict backend's walk for mutable profile-likes
         total = 0
         entries = self._pobj[:n].tolist()
         for i, size in enumerate(sizes.tolist()):
@@ -1185,14 +1156,25 @@ class ArrayView:
         )
 
 
-def make_view(capacity: int, owner_id: int) -> "View | ArrayView":
-    """Construct a view on the active state plane.
+def array_views() -> bool:
+    """Whether new views are columnar: the view store follows the tier.
 
-    The facade factory every protocol goes through: array-backed columns
-    by default, the legacy dict store under ``REPRO_ARRAY_STATE=0`` (see
-    :mod:`repro.core.arraystate`).  Both backends expose the same API and
-    produce bitwise-identical outcomes at fixed seeds.
+    :class:`ArrayView`'s columns exist to be walked by the native
+    ``state_*`` kernels and lose to the dict store without them, so it is
+    the ``fast`` pipeline's store on the native tier only; :class:`View`
+    serves ``reference`` and ``fast`` without the kernels.  The sharded
+    engine maps a view arena on the same condition.
     """
-    if array_state_enabled():
+    return fast_mode() and _native() is not None
+
+
+def make_view(capacity: int, owner_id: int) -> "View | ArrayView":
+    """Construct a view on the store :func:`array_views` selects.
+
+    The facade factory every protocol goes through.  Both stores expose
+    the same API, interoperate, and produce bitwise-identical outcomes at
+    fixed seeds; existing views keep their store.
+    """
+    if array_views():
         return ArrayView(capacity, owner_id)
     return View(capacity, owner_id)

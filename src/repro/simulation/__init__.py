@@ -16,9 +16,9 @@ subpackage provides the engine those experiments run on:
 * :mod:`repro.simulation.engine` — the engine proper: per cycle it runs
   gossip maintenance, injects publications, and delivers item messages
   enqueued during the previous cycle (one hop per cycle);
-* :mod:`repro.simulation.delivery` — the batched delivery subsystem: the
-  ``REPRO_BATCH_DELIVERY`` gate and the per-cycle batch helpers the engine
-  and nodes share (bitwise-identical to the scalar path at fixed seeds);
+* :mod:`repro.simulation.delivery` — the ``fast`` pipeline's batched
+  delivery: the per-cycle batch helper the engine and nodes share
+  (bitwise-identical to the per-envelope path at fixed seeds);
 * :mod:`repro.simulation.churn` — node kill/rejoin injection for the
   robustness extension experiments;
 * :mod:`repro.simulation.sharding` — the process-sharded scale-out engine:
@@ -28,10 +28,6 @@ subpackage provides the engine those experiments run on:
 """
 
 from repro.simulation.churn import ChurnModel
-from repro.simulation.delivery import (
-    delivery_batching_enabled,
-    set_delivery_batching,
-)
 from repro.simulation.engine import CycleEngine
 from repro.simulation.events import DisseminationLog
 from repro.simulation.node import BaseNode
@@ -53,9 +49,7 @@ __all__ = [
     "DisseminationLog",
     "PublicationSchedule",
     "ShardedCycleEngine",
-    "delivery_batching_enabled",
     "make_engine",
-    "set_delivery_batching",
     "set_shard_count",
     "shard_count",
 ]

@@ -24,19 +24,16 @@ All loss, traffic accounting and event logging funnel through the engine's
 ``gossip`` / ``send_item`` / ``log_*`` methods, so every protocol is measured
 identically.
 
-Under a lossless unit-delay transport the engine runs the **batched
-delivery pipeline** (see :mod:`repro.simulation.delivery`): every item send
-of a cycle is buffered and flushed in one bulk pass (one traffic-stats
-update, ordered future-inbox extension, no per-message envelopes), nodes
-receive their whole cycle inbox at once, and event logging happens in bulk
-appends.  Outcomes are bitwise-identical to the scalar path at fixed seeds;
-``REPRO_BATCH_DELIVERY=0`` restores the scalar pipeline.
-
-The engine itself is state-plane agnostic: node views and profiles live
-behind the facade of :mod:`repro.gossip.views` / :mod:`repro.core.profiles`,
-which serves either the array-backed columnar layout (default) or the
-legacy dict structures (``REPRO_ARRAY_STATE=0``, see
-:mod:`repro.core.arraystate`) with identical observable behaviour.
+In ``fast`` mode (:mod:`repro.core.gates`) under a lossless unit-delay
+transport the engine runs the **batched delivery pipeline** (see
+:mod:`repro.simulation.delivery`): every item send of a cycle is buffered
+and flushed in one bulk pass (one traffic-stats update, ordered
+future-inbox extension, no per-message envelopes), nodes receive their
+whole cycle inbox at once, and event logging happens in bulk appends.
+Outcomes are bitwise-identical at fixed seeds to the per-envelope path
+that ``REPRO_MODE=reference`` and lossy transports run.  The engine never
+sees the view store: node views live behind the :mod:`repro.gossip.views`
+facade.
 
 Under ``REPRO_SHARDS=N`` (``N`` > 1) the population runs **process-
 sharded**: each worker drives its shard with a subclass of this engine
@@ -52,11 +49,11 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Callable, Iterable
 
+from repro.core.gates import fast_mode
 from repro.core.news import ItemCopy
 from repro.network.message import Envelope, MessageKind, payload_wire_size
 from repro.network.stats import TrafficStats
 from repro.network.transport import PerfectTransport, Transport
-from repro.simulation.delivery import delivery_batching_enabled
 from repro.simulation.events import DisseminationLog
 from repro.simulation.node import BaseNode
 from repro.simulation.schedule import PublicationSchedule
@@ -479,7 +476,7 @@ class CycleEngine:
 
         # batched delivery: buffer every item send of the cycle and flush
         # once; only safe when no per-message loss/delay draws exist
-        batching = self._lossless and delivery_batching_enabled()
+        batching = self._lossless and fast_mode()
         self._buffering = batching
 
         # messages whose delay expires this cycle become deliverable

@@ -18,7 +18,8 @@ Layout
   methods intercept cross-shard traffic.  Intra-shard gossip and item
   delivery run exactly the single-process code paths.
 * Each shard's :class:`~repro.gossip.views.ArrayView` numeric state blocks
-  are re-homed into a per-shard :mod:`multiprocessing.shared_memory` arena
+  (the native tier's views; dict views have no block to map) are re-homed
+  into a per-shard :mod:`multiprocessing.shared_memory` arena
   (:meth:`ArrayView.rehome`): the native state kernels receive the mapped
   addresses unchanged, and the parent can read any view's ``(ids, ts,
   wire)`` columns zero-copy (:meth:`ShardedCycleEngine.view_columns`)
@@ -106,11 +107,17 @@ from multiprocessing.connection import wait as _conn_wait
 
 import numpy as np
 
-from repro.core.gates import env_choice, env_flag, env_float, env_int
+from repro.core.gates import (
+    env_choice,
+    env_flag,
+    env_float,
+    env_int,
+    fast_mode,
+    set_mode,
+)
 from repro.network.message import MessageKind, payload_wire_size
 from repro.network.stats import RecoveryStats, TrafficStats
 from repro.network.transport import PerfectTransport, Transport
-from repro.simulation.delivery import delivery_batching_enabled
 from repro.simulation.engine import CycleEngine
 from repro.simulation.events import DisseminationLog, FaultLog
 from repro.simulation.faults import FaultInjector, InjectedFailure, fault_schedule
@@ -940,7 +947,7 @@ class _ShardEngine(CycleEngine):
         if self.churn is not None:
             self.churn.apply(self, now)
 
-        batching = self._lossless and delivery_batching_enabled()
+        batching = self._lossless and fast_mode()
         self._buffering = batching
         self._cycle_batching = batching
 
@@ -1058,14 +1065,9 @@ class _ShardEngine(CycleEngine):
 def _apply_gates(gates: dict) -> None:
     """Pin the pipeline gates in this process (spawn-start safety)."""
     from repro._native import set_native_kernel
-    from repro.core.arraystate import set_array_state
-    from repro.core.similarity import set_batch_scoring
-    from repro.simulation.delivery import set_delivery_batching
 
-    set_batch_scoring(gates["batch"])
-    set_delivery_batching(gates["delivery"])
+    set_mode(gates["mode"])
     set_native_kernel(gates["native"])
-    set_array_state(gates["array"])
     set_wire_tier(gates["wire_tier"])
     global _INTERN_CAP, _PIN_CPUS
     _INTERN_CAP = gates["intern_cap"]
@@ -1500,14 +1502,10 @@ def _mp_context():
 
 def _gate_snapshot() -> dict:
     from repro._native import native_kernel_enabled
-    from repro.core.arraystate import array_state_enabled
-    from repro.core.similarity import batch_scoring_enabled
 
     return {
-        "batch": batch_scoring_enabled(),
-        "delivery": delivery_batching_enabled(),
+        "mode": "fast" if fast_mode() else "reference",
         "native": native_kernel_enabled(),
-        "array": array_state_enabled(),
         "wire_tier": wire_tier(),
         "intern_cap": _INTERN_CAP,
         "pin": _PIN_CPUS,
@@ -1712,14 +1710,14 @@ class ShardedCycleEngine:
     def _start_workers(self, nodes: list) -> None:
         self._spawn_procs()
 
-        from repro.core.arraystate import array_state_enabled
+        from repro.gossip.views import array_views
 
         n = self.n_shards
         gates = _gate_snapshot()
         shards = [[] for _ in range(n)]
         for nid in self._order:
             shards[shard_of(nid, n)].append(self._nodes[nid])
-        want_arena = self._use_shm and array_state_enabled()
+        want_arena = self._use_shm and array_views()
         cmds = []
         for w in range(n):
             blob = _dumps(
@@ -2158,13 +2156,13 @@ class ShardedCycleEngine:
         Shards in *degrade_shards* come back with their population
         churned-offline for the degraded window instead of live.
         """
-        from repro.core.arraystate import array_state_enabled
+        from repro.gossip.views import array_views
 
         ckpt = self._ckpt
         self._teardown_workers()
         self._spawn_procs()
         gates = _gate_snapshot()
-        want_arena = self._use_shm and array_state_enabled()
+        want_arena = self._use_shm and array_views()
         until = ckpt["now"] + (_DEGRADED_FOR or _CKPT_EVERY)
         cmds = []
         for w in range(self.n_shards):
@@ -2308,7 +2306,7 @@ class ShardedCycleEngine:
 
         ``{node_id: {"rps"|"wup": (offset, alloc, n)}}`` for views still
         living in their shard's shared-memory arena.  Empty when shared
-        memory is off or the legacy state plane is active.
+        memory is off or the views are dict-backed.
         """
         if not self._arenas:
             return {}
@@ -2322,8 +2320,8 @@ class ShardedCycleEngine:
 
         Reads the shard arena mapping directly — no worker pickle of the
         view — returning defensive copies of the two columns.  Raises
-        when the view is not arena-resident (shared memory off, legacy
-        state plane, or the view outgrew its block).
+        when the view is not arena-resident (shared memory off, dict
+        views, or the view outgrew its block).
         """
         placement = self.state_map().get(node_id, {}).get(proto)
         if placement is None:

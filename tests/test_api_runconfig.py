@@ -20,11 +20,11 @@ import dataclasses
 import pytest
 
 import repro.simulation.sharding as sharding_mod
+from repro._native import native_kernel_enabled
 from repro.api import RunConfig
 from repro.core import WhatsUpConfig, WhatsUpSystem
-from repro.core.similarity import batch_scoring_enabled
+from repro.core.gates import fast_mode
 from repro.datasets import survey_dataset
-from repro.simulation.delivery import delivery_batching_enabled
 from repro.simulation.faults import fault_schedule
 from repro.simulation.sharding import shard_count, wire_tier
 
@@ -41,7 +41,7 @@ def clean_env(monkeypatch):
 
 
 VARIANT = dict(
-    batch_sim=False,
+    mode="reference",
     native=False,
     shards=4,
     shard_shm=False,
@@ -69,6 +69,8 @@ class TestEnvParity:
         assert "REPRO_FAULTS" not in cfg.as_env()
 
     def test_as_env_roundtrips_every_field(self):
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        assert fields == set(VARIANT) and len(fields) == 15
         cfg = RunConfig(**VARIANT)
         env = cfg.as_env()
         assert env["REPRO_FAULTS"] == "crash@5:1:q"
@@ -76,9 +78,8 @@ class TestEnvParity:
 
     def test_from_env_parses_module_spellings(self):
         env = {
-            "REPRO_BATCH_SIM": "OFF",
-            "REPRO_NATIVE": "No",
-            "REPRO_ARRAY_STATE": "0 ",  # trailing blank, as from a .env file
+            "REPRO_MODE": " Reference ",
+            "REPRO_NATIVE": "0 ",  # trailing blank, as from a .env file
             "REPRO_SHARD_SHM": "off\n",  # trailing newline, as from a secret
             "REPRO_SHARD_PIN_CPUS": " 1",
             "REPRO_SHARDS": "3",
@@ -86,9 +87,8 @@ class TestEnvParity:
             "REPRO_FAULTS": "  ",
         }
         cfg = RunConfig.from_env(env)
-        assert cfg.batch_sim is False
+        assert cfg.mode == "reference"
         assert cfg.native is False
-        assert cfg.array_state is False
         assert cfg.shard_shm is False
         assert cfg.pin_cpus is True
         assert cfg.shards == 3
@@ -98,6 +98,7 @@ class TestEnvParity:
     def test_from_env_applies_module_floors_and_fallbacks(self):
         cfg = RunConfig.from_env(
             {
+                "REPRO_MODE": "quick",  # unknown -> default
                 "REPRO_SHARDS": "zero",  # unparseable -> default
                 "REPRO_SHARD_WIRE": "msgpack",  # unknown -> default
                 "REPRO_SHARD_RECOVERY": "prayer",  # unknown -> default
@@ -106,6 +107,7 @@ class TestEnvParity:
                 "REPRO_SHARD_RETRIES": "0",  # floored
             }
         )
+        assert cfg.mode == "fast"
         assert cfg.shards == 1
         assert cfg.wire_tier == "delta"
         assert cfg.recovery == "auto"
@@ -114,6 +116,8 @@ class TestEnvParity:
         assert cfg.retries == 1
 
     def test_validation_rejects_bad_fields(self):
+        with pytest.raises(ValueError, match="mode"):
+            RunConfig(mode="quick")
         with pytest.raises(ValueError, match="wire tier"):
             RunConfig(wire_tier="msgpack")
         with pytest.raises(ValueError, match="recovery"):
@@ -135,22 +139,22 @@ class TestEnvParity:
 class TestApply:
     # the restore assertions compare against *captured* prior state, not
     # hard-coded defaults — the tier-1 CI legs run this suite under env
-    # gates (REPRO_SHARDS=4, REPRO_BATCH_SIM=0, …) and apply() must put
+    # gates (REPRO_SHARDS=4, REPRO_MODE=reference, …) and apply() must put
     # back whatever was set, defaults or not
 
     def test_apply_sets_and_restores_everything(self):
         cfg = RunConfig(**VARIANT)
         before = (
-            batch_scoring_enabled(),
-            delivery_batching_enabled(),
+            fast_mode(),
+            native_kernel_enabled(),
             shard_count(),
             wire_tier(),
             fault_schedule(),
             sharding_mod.shard_knobs(),
         )
         with cfg.apply():
-            assert batch_scoring_enabled() is False
-            assert delivery_batching_enabled() is True  # cfg default
+            assert fast_mode() is False
+            assert native_kernel_enabled() is False
             assert shard_count() == 4
             assert wire_tier() == "pickle"
             schedule = fault_schedule()
@@ -161,8 +165,8 @@ class TestApply:
             assert knobs["recovery"] == "degraded"
             assert knobs["retries"] == 9
         assert before == (
-            batch_scoring_enabled(),
-            delivery_batching_enabled(),
+            fast_mode(),
+            native_kernel_enabled(),
             shard_count(),
             wire_tier(),
             fault_schedule(),

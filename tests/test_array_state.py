@@ -1,21 +1,25 @@
-"""Array-state plane: unit parity and fixed-seed equivalence tests.
+"""The array-backed view store: unit parity with the dict store.
 
-The array-backed state plane (``REPRO_ARRAY_STATE``) swaps the view store
-— the dict/NamedTuple store becomes preallocated columns with native
-bookkeeping kernels — while keeping every externally observable outcome
-**bitwise identical** at fixed seeds.  These tests enforce that promise at
-two levels, and pin the packed-profile memo both planes share:
+:class:`ArrayView` keeps a view's entries in preallocated columns with
+native bookkeeping kernels, :class:`View` in a dict; the store follows the
+tier (:func:`repro.gossip.views.array_views`) and every externally
+observable outcome is **bitwise identical** on either.  These tests pin
+the unit level of that promise, and the packed-profile memo both stores
+share:
 
+* *the gate* — ``set_mode`` / ``mode`` toggle and restore, and
+  ``make_view`` builds the store the pipeline's tier selects;
 * *operation parity* — mirrored random op sequences on :class:`View` and
   :class:`ArrayView` leave identical entries, order, RNG state and wire
-  sizes, on the native and pure-Python tiers alike;
+  sizes, with the kernels and on :class:`ArrayView`'s numpy paths alike;
+* *columnar shipments* — the column blocks gossip messages carry agree
+  with the per-descriptor walk;
 * *pack parity* — a profile's memoised pack is element-identical to a
   from-scratch build after any mutation mix
-  (set/remove/purge/integrate/copy/snapshot), whichever way the gate points;
-* *end-to-end equivalence* — full fixed-seed simulations (small + medium,
-  plus churn and cold-start joins) leave identical logs, profiles, views,
-  duplicates and traffic bytes on the legacy (``REPRO_ARRAY_STATE=0``)
-  and array planes, across the scalar/batch/native similarity tiers.
+  (set/remove/purge/integrate/copy/snapshot).
+
+Whole-run equivalence of the pipelines lives in
+``tests/test_pipeline_grid.py``.
 """
 
 from __future__ import annotations
@@ -23,40 +27,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import WhatsUpConfig, WhatsUpSystem
-from repro.core.arraystate import (
-    array_state,
-    array_state_enabled,
-    set_array_state,
-)
+from repro.core.gates import fast_mode, mode, set_mode
 from repro.core.profiles import (
     FrozenProfile,
     ItemProfile,
     PackedView,
     UserProfile,
 )
-from repro.core.similarity import (
-    batch_scoring,
-    native_available,
-    native_kernel,
-)
-from repro.experiments.scale import SCALES
+from repro.core.similarity import native_available, native_kernel
 from repro.gossip.rps import RpsProtocol
 from repro.gossip.vicinity import ClusteringProtocol
 from repro.gossip.views import ArrayView, View, ViewEntry, make_view
-from repro.simulation.churn import ChurnModel
-
-
-@pytest.fixture(autouse=True)
-def _restore_array_state():
-    with array_state(array_state_enabled()):
-        yield
-
-
-def _thirds_opinion(_nid, item) -> bool:
-    """Deterministic joiner oracle; module-level so the joined node
-    pickles into shard workers under a forced ``REPRO_SHARDS``."""
-    return item.item_id % 3 != 0
 
 
 def entry(nid: int, ts: int = 0, likes: tuple = ()) -> ViewEntry:
@@ -66,22 +47,33 @@ def entry(nid: int, ts: int = 0, likes: tuple = ()) -> ViewEntry:
 
 class TestGate:
     def test_toggle_returns_previous(self):
-        first = set_array_state(False)
-        assert set_array_state(first) is False
-        assert array_state_enabled() is first
+        first = set_mode("reference")
+        try:
+            assert set_mode(first) == "reference"
+            assert fast_mode() is (first == "fast")
+            with pytest.raises(ValueError, match="quick"):
+                set_mode("quick")
+            assert fast_mode() is (first == "fast")
+        finally:
+            set_mode(first)
 
     def test_context_manager_restores_on_error(self):
-        before = array_state_enabled()
-        with pytest.raises(RuntimeError), array_state(not before):
-            assert array_state_enabled() is (not before)
+        before = fast_mode()
+        flipped = "reference" if before else "fast"
+        with pytest.raises(RuntimeError), mode(flipped):
+            assert fast_mode() is (not before)
             raise RuntimeError("boom")
-        assert array_state_enabled() is before
+        assert fast_mode() is before
 
     def test_factory_honours_gate(self):
-        with array_state(True):
-            assert isinstance(make_view(5, owner_id=1), ArrayView)
-        with array_state(False):
-            assert isinstance(make_view(5, owner_id=1), View)
+        """The view store follows the tier: columns only with the kernels."""
+        with mode("fast"), native_kernel(True):
+            store = ArrayView if native_available() else View
+            assert type(make_view(5, owner_id=1)) is store
+        with mode("fast"), native_kernel(False):
+            assert type(make_view(5, owner_id=1)) is View
+        with mode("reference"), native_kernel(True):
+            assert type(make_view(5, owner_id=1)) is View
 
 
 class TestViewOperationParity:
@@ -172,76 +164,78 @@ class TestViewOperationParity:
 
 
 class TestColumnarShipments:
-    """The shipped column blocks must agree with the walked measures."""
+    """The shipped column blocks must agree with the walked measures.
+
+    The protocols get an :class:`ArrayView` put in directly, so the
+    shipment paths run with the kernels and, under ``REPRO_NATIVE=0``, on
+    the store's numpy paths.
+    """
 
     def _protocol_pair(self):
         a = RpsProtocol(1, 8, np.random.default_rng(0))
         b = RpsProtocol(2, 8, np.random.default_rng(1))
+        a.view = ArrayView(8, owner_id=1)
+        b.view = ArrayView(8, owner_id=2)
         for nid in range(3, 12):
             a.view.upsert(entry(nid, ts=nid, likes=(nid,)))
             b.view.upsert(entry(nid + 5, ts=nid, likes=(nid, 1)))
         return a, b
 
     def test_rps_wire_precompute_matches_walk(self):
-        with array_state(True):
-            a, b = self._protocol_pair()
-            prof = UserProfile()
-            prof.record_opinion(5, 0, True)
-            snap = prof.snapshot()
-            for now in range(20):
-                started = a.initiate(snap, now)
-                assert started is not None
-                _partner, msg = started
-                walked = 1 + sum(_descriptor_size(e) for e in msg.entries)
-                assert msg.wire_size() == walked
-                reply = b.handle(msg, snap, now)
-                if reply is not None:
-                    assert reply.wire_size() == 1 + sum(
-                        _descriptor_size(e) for e in reply.entries
-                    )
-                    a.handle(reply, snap, now)
-
-    def test_clustering_wire_precompute_matches_walk(self):
-        with array_state(True):
-            proto = ClusteringProtocol(
-                0, 6, "wup", np.random.default_rng(3)
-            )
-            for nid in range(1, 7):
-                proto.view.upsert(entry(nid, ts=nid, likes=(nid,)))
-            prof = UserProfile()
-            prof.record_opinion(1, 0, True)
-            started = proto.initiate(prof.snapshot(), 9)
+        a, b = self._protocol_pair()
+        prof = UserProfile()
+        prof.record_opinion(5, 0, True)
+        snap = prof.snapshot()
+        for now in range(20):
+            started = a.initiate(snap, now)
             assert started is not None
             _partner, msg = started
-            assert msg.wire_size() == 1 + sum(
-                _descriptor_size(e) for e in msg.entries
-            )
+            walked = 1 + sum(_descriptor_size(e) for e in msg.entries)
+            assert msg.wire_size() == walked
+            reply = b.handle(msg, snap, now)
+            if reply is not None:
+                assert reply.wire_size() == 1 + sum(
+                    _descriptor_size(e) for e in reply.entries
+                )
+                a.handle(reply, snap, now)
+
+    def test_clustering_wire_precompute_matches_walk(self):
+        proto = ClusteringProtocol(0, 6, "wup", np.random.default_rng(3))
+        proto.view = ArrayView(6, owner_id=0)
+        for nid in range(1, 7):
+            proto.view.upsert(entry(nid, ts=nid, likes=(nid,)))
+        prof = UserProfile()
+        prof.record_opinion(1, 0, True)
+        started = proto.initiate(prof.snapshot(), 9)
+        assert started is not None
+        _partner, msg = started
+        assert msg.wire_size() == 1 + sum(
+            _descriptor_size(e) for e in msg.entries
+        )
 
     def test_upsert_columns_equals_upsert_all(self):
-        with array_state(True):
-            a, _b = self._protocol_pair()
-            prof = UserProfile()
-            snap = prof.snapshot()
-            payload, _wire, cols = a._shipment(snap, 9, exclude=4)
-            via_cols = ArrayView(8, owner_id=50)
-            via_cols.upsert_columns(payload, cols)
-            via_all = ArrayView(8, owner_id=50)
-            via_all.upsert_all(payload)
-            assert via_cols.entries() == via_all.entries()
-            assert via_cols.wire_size() == via_all.wire_size()
+        a, _b = self._protocol_pair()
+        prof = UserProfile()
+        snap = prof.snapshot()
+        payload, _wire, cols = a._shipment(snap, 9, exclude=4)
+        via_cols = ArrayView(8, owner_id=50)
+        via_cols.upsert_columns(payload, cols)
+        via_all = ArrayView(8, owner_id=50)
+        via_all.upsert_all(payload)
+        assert via_cols.entries() == via_all.entries()
+        assert via_cols.wire_size() == via_all.wire_size()
 
     def test_entries_with_columns_alignment(self):
-        with array_state(True):
-            a, _b = self._protocol_pair()
-            entries, cols = a.view.entries_with_columns()
-            assert [e.node_id for e in entries] == a.view.node_ids()
-            if cols is not None:
-                _ref, _stride, count = cols
-                assert count == len(entries)
-        with array_state(False):
-            legacy = RpsProtocol(1, 8, np.random.default_rng(0))
-            entries, cols = legacy.view.entries_with_columns()
-            assert cols is None
+        a, _b = self._protocol_pair()
+        entries, cols = a.view.entries_with_columns()
+        assert [e.node_id for e in entries] == a.view.node_ids()
+        if cols is not None:
+            _ref, _stride, count = cols
+            assert count == len(entries)
+        a.view = View(8, owner_id=1)
+        a.view.upsert(entry(3, ts=3))
+        entries, cols = a.view.entries_with_columns()
+        assert [e.node_id for e in entries] == [3] and cols is None
 
 
 def _descriptor_size(e: ViewEntry) -> int:
@@ -254,7 +248,7 @@ class TestPackMemoParity:
     """Memoised pack == from-scratch build, element-wise, after any mutation.
 
     Packs are rebuilt from the dicts whenever the version moved, so none
-    of this depends on the array-state gate.
+    of this depends on the view store.
     """
 
     @staticmethod
@@ -336,120 +330,3 @@ class TestPackMemoParity:
         assert 777 not in clone.scores
         self._assert_pack_matches(item, "parent after both edits")
         self._assert_pack_matches(clone, "clone after both edits")
-
-
-def _full_state(system: WhatsUpSystem) -> dict:
-    log = system.engine.log
-    arrays = log.arrays()
-    stats = system.engine.stats
-    return {
-        "log": {key: arrays[key].tolist() for key in sorted(arrays)},
-        "duplicates": log.duplicates,
-        "profiles": {
-            n.node_id: sorted(n.profile.scores.items()) for n in system.nodes
-        },
-        "seen": {n.node_id: sorted(n.seen) for n in system.nodes},
-        # exact slot/insertion order, not just membership: the storage
-        # swap must preserve iteration order everywhere
-        "wup": {n.node_id: n.wup.view.node_ids() for n in system.nodes},
-        "rps": {n.node_id: n.rps.view.node_ids() for n in system.nodes},
-        "sent": {str(k): v for k, v in stats.sent.items()},
-        "delivered": {str(k): v for k, v in stats.delivered.items()},
-        "bytes": {str(k): v for k, v in stats.bytes_delivered.items()},
-        "pending": system.engine.pending_item_messages(),
-    }
-
-
-class TestEndToEndEquivalence:
-    """Legacy vs array state plane: bitwise-identical runs at fixed seeds."""
-
-    @staticmethod
-    def _run(scale, dataset, f_like, cycles, arrays_on, *, churn=None, seed=5):
-        with array_state(arrays_on):
-            data = SCALES[scale].dataset(dataset, seed=seed)
-            churn_model = (
-                ChurnModel(**churn) if churn is not None else None
-            )
-            system = WhatsUpSystem(
-                data, WhatsUpConfig(f_like=f_like), seed=seed,
-                churn=churn_model,
-            )
-            system.engine.run(cycles)
-        state = _full_state(system)
-        if churn is not None:
-            state["kills"] = churn_model.total_kills
-            state["rejoins"] = churn_model.total_rejoins
-        return state
-
-    def test_small_survey_identical(self):
-        legacy = self._run("small", "survey", 8, 30, False)
-        array = self._run("small", "survey", 8, 30, True)
-        for key in legacy:
-            assert legacy[key] == array[key], f"{key} differs"
-
-    def test_medium_survey_under_churn_identical(self):
-        churn = dict(kill_rate=0.04, rejoin_after=2, start_cycle=3)
-        legacy = self._run(
-            "medium", "survey", 8, 18, False, churn=churn, seed=11
-        )
-        assert legacy["kills"] > 0 and legacy["rejoins"] > 0
-        array = self._run(
-            "medium", "survey", 8, 18, True, churn=churn, seed=11
-        )
-        for key in legacy:
-            assert legacy[key] == array[key], f"{key} differs"
-
-    @pytest.mark.parametrize(
-        "tier",
-        ["scalar", "batch", "native"],
-    )
-    def test_three_way_tiers_by_plane(self, tier):
-        """legacy/array × similarity tier: every combination identical."""
-        if tier == "native" and not native_available():
-            pytest.skip("native extension not built")
-        batch = tier != "scalar"
-        native = tier == "native"
-
-        def run(arrays_on):
-            with (
-                batch_scoring(batch),
-                native_kernel(native),
-                array_state(arrays_on),
-            ):
-                data = SCALES["small"].dataset("synthetic", seed=9)
-                system = WhatsUpSystem(
-                    data, WhatsUpConfig(f_like=6), seed=9
-                )
-                system.engine.run(20)
-            return _full_state(system)
-
-        legacy = run(False)
-        array = run(True)
-        for key in legacy:
-            assert legacy[key] == array[key], f"{key} differs ({tier})"
-
-    def test_coldstart_joins_identical(self):
-        """Mid-run cold-start joins: inherited views + bootstrap ratings."""
-
-        def run(arrays_on):
-            with array_state(arrays_on):
-                data = SCALES["small"].dataset("survey", seed=13)
-                system = WhatsUpSystem(
-                    data, WhatsUpConfig(f_like=8), seed=13
-                )
-                system.engine.run(10)
-                # three joiners bootstrap via the paper's cold-start path
-                base = max(system.engine.nodes) + 1
-                for j in range(3):
-                    system.join_node(
-                        base + j,
-                        opinion=_thirds_opinion,
-                        contact_id=j * 7,
-                    )
-                system.engine.run(10)
-            return _full_state(system)
-
-        legacy = run(False)
-        array = run(True)
-        for key in legacy:
-            assert legacy[key] == array[key], f"{key} differs"

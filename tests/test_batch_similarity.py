@@ -9,9 +9,8 @@ Covers the guarantees of the pool scoring stack:
   is ``test_scoring_tiers_agree_bitwise`` in
   ``tests/test_property_invariants.py``);
 * ``View.trim_ranked`` with precomputed scores (and the aligned fast path)
-  selects exactly what the key-based form selects;
-* a full fixed-seed WhatsUpSystem run produces *identical* view contents
-  under the scalar and batch paths;
+  selects exactly what the key-based form selects (whole runs on the
+  scalar and pool paths are compared in ``tests/test_pipeline_grid.py``);
 * the engine's O(1) pending-message counter and cached alive-id list stay
   coherent.
 """
@@ -25,13 +24,9 @@ from repro.core import WhatsUpConfig, WhatsUpSystem
 from repro.core.profiles import FrozenProfile, UserProfile, pack_id_array
 from repro.core.similarity import (
     available_metrics,
-    batch_scoring,
     get_metric,
     metric_name_of,
-    native_available,
-    native_kernel,
     score_candidates,
-    set_batch_scoring,
     wup_similarity,
 )
 from repro.datasets import survey_dataset
@@ -219,62 +214,6 @@ class TestTrimRankedScores:
         tag = v.mutation_count
         v.trim_ranked(scores={})
         assert v.mutation_count > tag
-
-
-class TestEndToEndEquivalence:
-    """Fixed-seed three-way equivalence: scalar, batch and native tiers."""
-
-    @staticmethod
-    def _run(batch: bool, native: bool):
-        # the restore-guarded context managers keep a failure here from
-        # poisoning the module globals for the rest of the suite
-        with batch_scoring(batch), native_kernel(native):
-            dataset = survey_dataset(
-                n_base_users=60, n_base_items=80, publish_cycles=15, seed=5
-            )
-            system = WhatsUpSystem(dataset, WhatsUpConfig(f_like=6), seed=5)
-            system.engine.run(25)
-        return {
-            n.node_id: (
-                sorted(n.wup.view.node_ids()),
-                sorted(n.rps.view.node_ids()),
-                sorted(n.profile.scores.items()),
-            )
-            for n in system.nodes
-        }
-
-    def test_scalar_and_batch_paths_produce_identical_views(self):
-        assert self._run(False, False) == self._run(True, False)
-
-    def test_batch_toggle_returns_previous(self):
-        first = set_batch_scoring(False)
-        try:
-            assert set_batch_scoring(first) is False
-        finally:
-            set_batch_scoring(first)
-
-    def test_scoring_disabled_pins_and_restores_both_gates(self):
-        from repro.core.similarity import (
-            batch_scoring_enabled,
-            native_kernel_enabled,
-            scoring_disabled,
-        )
-
-        batch_before = batch_scoring_enabled()
-        native_before = native_kernel_enabled()
-        with pytest.raises(RuntimeError), scoring_disabled():
-            assert not batch_scoring_enabled()
-            assert not native_kernel_enabled()
-            raise RuntimeError("boom")
-        # restored even though the guarded block raised
-        assert batch_scoring_enabled() == batch_before
-        assert native_kernel_enabled() == native_before
-
-    @pytest.mark.skipif(
-        not native_available(), reason="native kernel not built"
-    )
-    def test_native_path_produces_identical_views(self):
-        assert self._run(True, False) == self._run(True, True)
 
 
 class TestEngineCounters:

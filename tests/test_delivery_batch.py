@@ -1,12 +1,13 @@
-"""Scalar-vs-batch delivery equivalence and the batched delivery machinery.
+"""The batched delivery machinery, unit by unit.
 
-The batched delivery subsystem (buffered bulk sends, per-node batch
+The ``fast`` pipeline's delivery (buffered bulk sends, per-node batch
 receipt, bulk event logging — ``repro.simulation.delivery``) must be
-**bitwise-identical** to the scalar one-envelope-at-a-time pipeline at
-fixed seeds: same delivery/forward log rows in the same order, same
-duplicate counts, same end-of-run profiles and views, same traffic
-counters, same RNG consumption.  These tests run both paths and compare
-everything dissemination can influence.
+**bitwise-identical** to the one-envelope-at-a-time pipeline at fixed
+seeds.  Whole runs of both are compared in
+``tests/test_pipeline_grid.py``; these tests pin the parts: the send
+buffer and its accounting, the one-forwarded-copy-per-fan-out sharing
+rule and the forks that keep it safe, first-receipt splitting, and the
+bulk log/traffic appends against their scalar forms.
 """
 
 from __future__ import annotations
@@ -14,31 +15,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import RunConfig
 from repro.core import WhatsUpConfig, WhatsUpSystem
-from repro.core.arraystate import array_state, array_state_enabled
+from repro.core.gates import mode
 from repro.core.news import ItemCopy, NewsItem
 from repro.core.profiles import UserProfile
-from repro.core.similarity import (
-    batch_scoring,
-    native_available,
-    native_kernel,
-)
 from repro.datasets import survey_dataset
-from repro.experiments.scale import SCALES
 from repro.network.message import MessageKind
 from repro.network.stats import TrafficStats
 from repro.network.transport import (
     PerfectTransport,
     UniformLossTransport,
 )
-from repro.simulation.churn import ChurnModel
-from repro.simulation.delivery import (
-    delivery_batching,
-    delivery_batching_enabled,
-    set_delivery_batching,
-    split_first_receipts,
-)
+from repro.simulation.delivery import split_first_receipts
 from repro.simulation.engine import CycleEngine
 from repro.simulation.events import DisseminationLog
 from repro.simulation.node import BaseNode
@@ -46,156 +34,6 @@ from repro.simulation.schedule import PublicationSchedule
 from repro.simulation.sharding import _ShardEngine, sharding
 from repro.simulation.wire import LinkDecoder
 from repro.utils.rng import RngStreams
-
-
-@pytest.fixture(autouse=True)
-def _restore_batching():
-    # the context-manager form survives failing tests without leaking the
-    # pipeline gate into the rest of the suite
-    with delivery_batching(delivery_batching_enabled()):
-        yield
-
-
-def _run_system(scale: str, dataset: str, f_like: int, cycles: int, batch: bool):
-    with delivery_batching(batch):
-        data = SCALES[scale].dataset(dataset, seed=5)
-        system = WhatsUpSystem(data, WhatsUpConfig(f_like=f_like), seed=5)
-        system.engine.run(cycles)
-    return system
-
-
-def _full_state(system: WhatsUpSystem):
-    log = system.engine.log
-    arrays = log.arrays()
-    stats = system.engine.stats
-    return {
-        "log": {key: arrays[key].tolist() for key in sorted(arrays)},
-        "duplicates": log.duplicates,
-        "profiles": {
-            n.node_id: sorted(n.profile.scores.items()) for n in system.nodes
-        },
-        "seen": {n.node_id: sorted(n.seen) for n in system.nodes},
-        "wup": {n.node_id: sorted(n.wup.view.node_ids()) for n in system.nodes},
-        "rps": {n.node_id: sorted(n.rps.view.node_ids()) for n in system.nodes},
-        "sent": {str(k): v for k, v in stats.sent.items()},
-        "delivered": {str(k): v for k, v in stats.delivered.items()},
-        "bytes": {str(k): v for k, v in stats.bytes_delivered.items()},
-        "pending": system.engine.pending_item_messages(),
-    }
-
-
-class TestScalarBatchEquivalence:
-    """Fixed-seed end-to-end equivalence of the two delivery pipelines."""
-
-    @pytest.mark.parametrize(
-        "scale,dataset,f_like,cycles",
-        [
-            ("small", "survey", 8, 30),
-            # the ISSUE's medium-scale check: heavier fan-out, bigger
-            # population, duplicate-dominated inboxes
-            ("medium", "survey", 16, 12),
-        ],
-        ids=["small", "medium"],
-    )
-    def test_identical_outcomes(self, scale, dataset, f_like, cycles):
-        scalar = _full_state(_run_system(scale, dataset, f_like, cycles, False))
-        batch = _full_state(_run_system(scale, dataset, f_like, cycles, True))
-        # compare piecewise for actionable failures
-        for key in scalar:
-            assert scalar[key] == batch[key], f"{key} differs"
-
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_flash_crowd_identical_outcomes(self, shards):
-        """A ``survey-burst``-shaped run: many first receipts per inbox.
-
-        Twenty items a cycle into 60 users at ``f_like=16`` puts several
-        first receipts of one fan-out — one shared in-flight object — in
-        the same cycle's inboxes, next to the duplicates that are dropped
-        unforked.  The reference arm is built here: the per-target-clone
-        scalar pipeline at the same shard count (outcomes are salted by
-        shard count by design, so each count has its own reference).
-        """
-
-        def run(batch: bool):
-            data = survey_dataset(
-                n_base_users=60, n_base_items=40, publish_cycles=2, seed=9
-            )
-            system = WhatsUpSystem(
-                data,
-                WhatsUpConfig(f_like=16),
-                seed=9,
-                run_config=RunConfig(shards=shards, batch_delivery=batch),
-            )
-            try:
-                system.run(drain=True)
-                return _full_state(system)
-            finally:
-                system.close()
-
-        scalar, batch = run(False), run(True)
-        assert scalar["duplicates"] > len(scalar["log"]["d_item"])
-        assert scalar["pending"] == 0
-        for key in scalar:
-            assert scalar[key] == batch[key], f"{key} differs"
-
-    def test_toggle_returns_previous(self):
-        first = set_delivery_batching(False)
-        assert set_delivery_batching(first) is False
-        assert delivery_batching_enabled() is first
-
-
-class TestChurnEquivalence:
-    """Churn × delivery pipeline: all tiers identical under node failure.
-
-    Churn exercises paths no other equivalence test reaches: dead-target
-    drops in the bulk send buffer, revived nodes re-entering mid-run with
-    aged views, and kill/revive interleaving with the batched receipt
-    loop.  A fixed-seed medium run with an active :class:`ChurnModel`
-    must leave identical logs, duplicates, profiles, views, traffic and
-    churn counters under the scalar, batch and native paths.
-    """
-
-    @staticmethod
-    def _run_churned(batch: bool, native: bool, array_views: bool | None = None):
-        with (
-            delivery_batching(batch),
-            batch_scoring(batch),
-            native_kernel(native),
-            array_state(array_state_enabled() if array_views is None else array_views),
-        ):
-            data = SCALES["medium"].dataset("survey", seed=11)
-            churn = ChurnModel(kill_rate=0.04, rejoin_after=2, start_cycle=3)
-            system = WhatsUpSystem(
-                data, WhatsUpConfig(f_like=8), seed=11, churn=churn
-            )
-            system.engine.run(24)
-        state = _full_state(system)
-        state["kills"] = churn.total_kills
-        state["rejoins"] = churn.total_rejoins
-        return state
-
-    def test_scalar_batch_native_identical_under_churn(self):
-        scalar = self._run_churned(batch=False, native=False)
-        assert scalar["kills"] > 0 and scalar["rejoins"] > 0
-        batch = self._run_churned(batch=True, native=False)
-        for key in scalar:
-            assert scalar[key] == batch[key], f"{key} differs (batch)"
-        if native_available():
-            nat = self._run_churned(batch=True, native=True)
-            for key in scalar:
-                assert scalar[key] == nat[key], f"{key} differs (native)"
-            # the state plane crossed with the pipeline tiers: the array
-            # and legacy layouts must agree under churn as well
-            legacy_state = self._run_churned(
-                batch=True, native=True, array_views=False
-            )
-            array_plane = self._run_churned(
-                batch=True, native=True, array_views=True
-            )
-            for key in scalar:
-                assert legacy_state[key] == array_plane[key], (
-                    f"{key} differs (state plane)"
-                )
 
 
 class _CountingNode(BaseNode):
@@ -370,7 +208,7 @@ class TestSendFanout:
         nodes = [_Scribbler(i) for i in range(4)]
         engine, _item = _engine(nodes)
         copy = self._fresh_copy()
-        with delivery_batching(True):
+        with mode("fast"):
             engine._buffering = True
             engine.send_fanout(0, [1, 2, 3], copy, via_like=True)
             engine._buffering = False
@@ -390,7 +228,7 @@ class TestSendFanout:
             ItemCopy, "fork", lambda self: forks.append(1) or fork(self)
         )
         data = survey_dataset(n_base_users=30, n_base_items=24, seed=3)
-        with delivery_batching(True), sharding(1):
+        with mode("fast"), sharding(1):
             system = WhatsUpSystem(data, WhatsUpConfig(f_like=8), seed=3)
             system.run(drain=True)
         log = system.engine.log

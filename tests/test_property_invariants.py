@@ -19,6 +19,9 @@ inputs rather than one fixed seed:
 * **Scoring tiers = scalar metrics** — the fused native kernels and the
   set-algebra pool loops return the scalar metrics' exact bits for every
   metric and both orientations.
+* **Pipelines = reference** — over generated small runs (seed, population,
+  fanout, loss, length) the ``fast`` pipeline, with and without the
+  kernels, leaves the ``reference`` pipeline's exact full state.
 
 Profiles: ``HYPOTHESIS_PROFILE=ci`` (CI: 100 examples per property) or the
 default ``dev`` (fast local iteration).
@@ -457,6 +460,32 @@ def test_scoring_tiers_agree_bitwise(
                 tied = nk.item_argmax(owner, pool, code)
                 best = max(want)
                 assert tied.tolist() == [i for i, s in enumerate(want) if s == best]
+
+
+# --------------------------------------------------------------------------- #
+# pipelines = reference                                                       #
+# --------------------------------------------------------------------------- #
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**16 - 1),
+    n_users=st.integers(min_value=12, max_value=40),
+    f_like=st.integers(min_value=2, max_value=12),
+    loss=st.sampled_from([0.0, 0.1]),
+    cycles=st.integers(min_value=3, max_value=12),
+)
+def test_pipelines_agree_on_generated_runs(seed, n_users, f_like, loss, cycles):
+    """``fast`` (kernels on or off) == ``reference``, on the whole state."""
+    from repro.datasets import survey_dataset
+    from tests.test_pipeline_grid import run_pipeline
+
+    dataset = survey_dataset(
+        n_base_users=n_users, n_base_items=20, publish_cycles=4, seed=seed
+    )
+    run = dict(f_like=f_like, seed=seed, cycles=cycles, loss=loss)
+    reference = run_pipeline("reference", dataset, **run)
+    for pipeline in ("fast", "fast-nokernel"):
+        assert run_pipeline(pipeline, dataset, **run) == reference, pipeline
 
 
 # --------------------------------------------------------------------------- #

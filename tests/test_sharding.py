@@ -5,8 +5,8 @@ Covers the PR's determinism contract:
 * ``REPRO_SHARDS=1`` constructs the plain single-process engine — bitwise
   identical to a directly-built :class:`CycleEngine` run;
 * shard counts 2 and 4 are deterministic run-to-run at a fixed seed,
-  including under churn, mid-run cold-start joins, the scalar pipeline
-  and the legacy state plane;
+  including under churn, mid-run cold-start joins, the reference
+  pipeline and the dict view store;
 * the shared-memory staging layer never changes outcomes: shm on vs off,
   and forced multi-chunk mailbox flushes, produce identical bits;
 * the shard arena really is shared memory: the parent reads live view
@@ -26,13 +26,12 @@ import pytest
 
 import repro.simulation.sharding as sharding_mod
 from repro.core import WhatsUpConfig, WhatsUpSystem
-from repro.core.arraystate import array_state
-from repro.core.similarity import batch_scoring
-from repro.datasets import survey_dataset
+from repro.core.gates import mode
 from repro.core.profiles import FrozenProfile
+from repro.core.similarity import native_kernel
+from repro.datasets import survey_dataset
 from repro.gossip.views import ArrayView, ViewEntry
 from repro.network.transport import UniformLossTransport
-from repro.simulation.delivery import delivery_batching
 from repro.simulation.engine import CycleEngine
 from repro.simulation.events import DisseminationLog
 from repro.simulation.sharding import (
@@ -210,14 +209,15 @@ def test_sharded_run_delivers_and_accounts(dataset, shard2_state):
 
 
 def test_scalar_pipeline_under_sharding_deterministic(dataset):
-    with batch_scoring(False), delivery_batching(False):
+    with mode("reference"):
         a = run_sharded(dataset, 2, cycles=10)
         b = run_sharded(dataset, 2, cycles=10)
     assert a == b
 
 
 def test_legacy_state_under_sharding_deterministic(dataset):
-    with array_state(False):
+    """``fast`` without the kernels: dict views, no view arena to map."""
+    with mode("fast"), native_kernel(False):
         a = run_sharded(dataset, 2, cycles=10)
         b = run_sharded(dataset, 2, cycles=10)
     assert a == b
@@ -319,12 +319,12 @@ def test_run_until_drained_sharded(dataset):
 
 
 def test_parent_reads_view_columns_zero_copy(dataset):
-    with sharding(2):
+    with sharding(2), mode("fast"), native_kernel(True):
         system = WhatsUpSystem(dataset, WhatsUpConfig(f_like=6), seed=SEED)
         engine = system.engine
         try:
             if not engine._arenas:
-                pytest.skip("no shared memory on this platform")
+                pytest.skip("no view arena: no shared memory or no extension")
             system.run(cycles=5, drain=False)
             placement = engine.state_map()
             assert placement  # arena-resident views exist

@@ -422,20 +422,17 @@ def system_state(system) -> dict:
 def run_tiered(dataset, tier, *, shards=4, shm=True, cycles=CYCLES):
     """One fixed-seed sharded run on *tier*; returns (state, mailbox).
 
-    The batch/array gates are pinned on: the byte-reduction claims below
-    are properties of the default pipeline's message shapes (the scalar
-    and legacy-state CI legs produce different row layouts, where the
-    tiny 36-user workload can invert the per-tier byte ordering).
+    The ``fast`` pipeline is pinned: the byte-reduction claims below are
+    properties of its message shapes (the reference CI leg produces
+    different row layouts, where the tiny 36-user workload can invert the
+    per-tier byte ordering).
     """
-    from repro.core.arraystate import array_state
-    from repro.core.similarity import batch_scoring, native_kernel
-    from repro.simulation.delivery import delivery_batching
+    from repro.core.gates import mode
+    from repro.core.similarity import native_kernel
 
     with (
-        batch_scoring(True),
-        delivery_batching(True),
+        mode("fast"),
         native_kernel(True),
-        array_state(True),
         sharding(shards),
         shard_shm(shm),
         shard_wire(tier),
@@ -457,8 +454,8 @@ def test_tier_equivalence_and_byte_reduction(dataset):
     the frame bytes drop on a workload with evolving profiles.  The win
     over the pickle tier is asserted only when the native kernels are
     live: that pipeline attaches the columnar entry block to gossip
-    messages, which the pickle wire serializes wholesale.  On the
-    scalar/fallback CI legs messages are lean, and at this deliberately
+    messages, which the pickle wire serializes wholesale.  Without the
+    extension (the fallback CI leg) messages are lean, and at this deliberately
     tiny scale (36 users) interned pickle undercuts the columnar framing
     overhead — the realistic-scale byte story lives in the benchmark
     suite.
