@@ -22,13 +22,15 @@ from repro.core.similarity import (
     wup_similarity,
 )
 from repro.datasets import survey_dataset
-from repro.gossip.rps import RpsProtocol
+from repro.gossip.rps import RpsMessage, RpsProtocol
 from repro.gossip.vicinity import ClusteringProtocol
 from repro.gossip.views import ArrayView, View, ViewEntry
+from repro.network.message import MessageKind
 from repro.simulation.delivery import split_first_receipts
 from repro.simulation.engine import CycleEngine
 from repro.simulation.node import BaseNode
 from repro.simulation.schedule import PublicationSchedule
+from repro.simulation.wire import LinkDecoder, LinkEncoder
 
 #: the two state-plane backends every bookkeeping primitive is measured on
 PLANES = ["legacy", "array"]
@@ -386,3 +388,88 @@ def test_micro_fanout_first_receipts(benchmark, monkeypatch):
     assert counts["pack"] <= 1  # 0 where the native tier is absent
     print(f"\nfan-out of 16, 4 first receipts, 3 scored: {counts}")
     assert benchmark(fanout) == 3
+
+
+def _gossip_flushes(n_flushes=12, n_nodes=450, k=18, keep=4, seed=43):
+    """Mailbox flushes shaped like ``synthetic-shard2``'s gossip barriers.
+
+    Every cycle each node stamps a fresh descriptor (one in twenty after
+    re-rating an item, so its profile crosses as a delta) and the stamps
+    of the last *keep* cycles stay in circulation; every node ships *k*
+    circulating descriptors with their column block.  A stamp is new to
+    the link once and then re-shipped about twenty times — ≈ 95 % of a
+    flush's crossings are descriptors the link has carried before.
+    """
+    rng = np.random.default_rng(seed)
+    scores = [
+        {int(i): float(rng.random() < 0.7) for i in rng.choice(5_000, 40, False)}
+        for _ in range(n_nodes)
+    ]
+    profiles = [FrozenProfile(s, is_binary=True, version=0) for s in scores]
+    circulating: list = []
+    flushes = []
+    for cycle in range(n_flushes):
+        for nid in range(n_nodes):
+            if cycle and rng.random() < 0.05:
+                scores[nid][int(rng.integers(5_000, 10_000))] = 1.0
+                profiles[nid] = FrozenProfile(
+                    scores[nid], is_binary=True, version=cycle
+                )
+        circulating.append(
+            [
+                ViewEntry(
+                    nid, f"10.0.{nid >> 8 & 255}.{nid & 255}", profiles[nid], cycle
+                )
+                for nid in range(n_nodes)
+            ]
+        )
+        pool = [entry for stamps in circulating[-keep:] for entry in stamps]
+        rows = []
+        for sender in range(n_nodes):
+            entries = tuple(
+                pool[i] for i in rng.choice(len(pool), k, False).tolist()
+            )
+            cols = np.array(
+                [
+                    [e.node_id for e in entries],
+                    [e.timestamp for e in entries],
+                    [64] * k,
+                ],
+                dtype=np.int64,
+            )
+            msg = RpsMessage(sender, entries, sender % 2 == 0, 64 * k, (cols, k, k))
+            rows.append((sender, (sender + 1) % n_nodes, MessageKind.RPS, msg))
+        flushes.append(rows)
+    return flushes
+
+
+@pytest.mark.benchmark(group="micro-wire")
+def test_micro_wire_codec_repeat_heavy(benchmark):
+    # codec CPU of the delta wire where it matters: gossip re-ships the
+    # same descriptors flush after flush, so a crossing should cost one
+    # table lookup on the sender and one gather slot on the receiver
+    warm, *flushes = _gossip_flushes()
+
+    def fresh_link():
+        enc, dec = LinkEncoder("delta"), LinkDecoder("delta")
+        dec.decode(enc.encode(warm, "gossip"))  # first crossings, untimed
+        return (enc, dec), {}
+
+    def cross(enc, dec):
+        decoded = 0
+        for rows in flushes:
+            decoded += len(dec.decode(enc.encode(rows, "gossip")))
+        return enc, dec, decoded
+
+    enc, dec, n_rows = benchmark.pedantic(
+        cross, setup=fresh_link, rounds=5, iterations=1
+    )
+    assert n_rows == sum(len(rows) for rows in flushes)
+    crossings = enc.stats.entries
+    repeats = 1.0 - enc.descriptor_count() / crossings
+    print(
+        f"\n{enc.stats.frames - 1} timed flushes, {crossings} crossings of "
+        f"{enc.descriptor_count()} descriptors: {repeats:.1%} repeats"
+    )
+    assert 0.9 < repeats < 0.97
+    assert enc.descriptor_count() == dec.descriptor_count()

@@ -536,7 +536,8 @@ class _PeerLinks:
 
     * a CRC mismatch at the receiver triggers a NACK and a bounded
       re-request of the same chunk (corruption self-heals on the wire);
-    * duplicate sequence numbers are re-acknowledged and dropped, so
+    * duplicate sequence numbers are re-acknowledged, counted and
+      dropped — also a straggler that lands one barrier late — so
       retransmissions and duplication faults are idempotent;
     * an idle wait retransmits the in-flight chunk with exponential
       backoff (a lost chunk or ack self-heals) and probes silent peers
@@ -564,6 +565,7 @@ class _PeerLinks:
         self._conn_src = {conn: peer for peer, conn in conns.items()}
         self._stash: dict = {}  # tag -> {src: [(bytes, last), ...]}
         self._rseq: dict = {}  # (src, tag) -> last in-order seq accepted
+        self._closed = None  # tag of the last barrier this worker closed
         self.shm_bytes = 0
         self.inline_bytes = 0
         self.chunk_retries = 0
@@ -722,10 +724,14 @@ class _PeerLinks:
                     _, mtag, seq, nbytes, last, crc, inline = msg
                     key = (src, mtag)
                     expect = self._rseq.get(key, -1) + 1
-                    if seq < expect:
+                    if seq < expect or mtag == self._closed:
                         # duplicate (dup fault, or retransmit after a
                         # lost ack): re-ack without touching the staged
-                        # bytes — they may already hold the next chunk
+                        # bytes — they may already hold the next chunk.
+                        # A straggler can land after its barrier closed
+                        # and took its sequence state along; pipes are
+                        # FIFO, so it precedes the sender's next-barrier
+                        # data and is at most that one barrier late.
                         self.dup_chunks += 1
                         conn.send(("a", mtag, seq))
                         continue
@@ -784,6 +790,7 @@ class _PeerLinks:
                     raise SimulationError(f"bad mailbox message {msg[:2]}")
         for src in peers:
             self._rseq.pop((src, tag), None)
+        self._closed = tag
         return [(peer, b"".join(bufs[peer])) for peer in peers]
 
 
@@ -837,6 +844,8 @@ class _ShardEngine(CycleEngine):
         }
         self._cycle_inbox: dict = {}
         self._cycle_batching = False
+        #: wall seconds spent in ``LinkDecoder.decode`` (reporting only)
+        self.decode_s = 0.0
         #: degraded-mode window: population offline until this cycle
         self._degraded_until: int | None = None
 
@@ -891,6 +900,13 @@ class _ShardEngine(CycleEngine):
                 out[dst] = codecs[dst].encode(rows, phase)
                 box[dst] = []
         return out
+
+    def _decode(self, src: int, blob: bytes) -> list:
+        """Decode one peer's frame, accounting the seconds it took."""
+        t0 = time.perf_counter()
+        rows = self._codec_in[src].decode(blob)
+        self.decode_s += time.perf_counter() - t0
+        return rows
 
     # -- routing overrides ------------------------------------------------- #
 
@@ -974,11 +990,10 @@ class _ShardEngine(CycleEngine):
         nodes_get = self.nodes.get
         stats = self.stats
         rep_out = self._rep_out
-        codecs = self._codec_in
         for src, blob in incoming:
             if not blob:
                 continue
-            for sender_id, target_id, kind, payload in codecs[src].decode(blob):
+            for sender_id, target_id, kind, payload in self._decode(src, blob):
                 target = nodes_get(target_id)
                 ok = target is not None and target._alive
                 stats.record_parts(kind, payload_wire_size(payload), ok)
@@ -993,11 +1008,10 @@ class _ShardEngine(CycleEngine):
         now = self.now
         nodes_get = self.nodes.get
         stats = self.stats
-        codecs = self._codec_in
         for src, blob in incoming:
             if not blob:
                 continue
-            for sender_id, _target_id, kind, reply in codecs[src].decode(blob):
+            for sender_id, _target_id, kind, reply in self._decode(src, blob):
                 sender = nodes_get(sender_id)
                 ok = sender is not None and sender._alive
                 stats.record_parts(kind, payload_wire_size(reply), ok)
@@ -1033,13 +1047,12 @@ class _ShardEngine(CycleEngine):
         nodes_get = self.nodes.get
         delivered = dropped = nbytes = 0
         inboxes = None
-        codecs = self._codec_in
         for src, blob in incoming:
             if not blob:
                 continue
             if inboxes is None:
                 inboxes = self._future_inboxes[now + 1]
-            for target_id, sender_id, copy, via_like in codecs[src].decode(blob):
+            for target_id, sender_id, copy, via_like in self._decode(src, blob):
                 target = nodes_get(target_id)
                 if target is not None and target._alive:
                     inboxes[target_id].append((sender_id, copy, via_like))
@@ -1110,6 +1123,15 @@ class _ShardWorker:
         self._wire: dict = {}
         self._arena_views: list = []
         self._segs: list = []
+        #: wall seconds this worker spent per cycle stage since it started
+        #: (``decode_s`` accrues on the engine).  Reporting only: they
+        #: feed ``mailbox_stats()`` and never control flow, RNG or state.
+        self._seconds = {
+            "open_s": 0.0,
+            "encode_s": 0.0,
+            "exchange_s": 0.0,
+            "cycle_s": 0.0,
+        }
 
     # -- fault plumbing ------------------------------------------------------ #
 
@@ -1309,28 +1331,39 @@ class _ShardWorker:
         )
         return ("attached", adopted)
 
+    def _barrier(self, tag, box: dict, phase: str = "gossip") -> list:
+        """Encode *box*, run barrier *tag*, return the peers' frames."""
+        seconds = self._seconds
+        t0 = time.perf_counter()
+        outgoing = self.engine.take_mailbox(box, phase)
+        t1 = time.perf_counter()
+        incoming = self.links.exchange(tag, outgoing)
+        seconds["encode_s"] += t1 - t0
+        seconds["exchange_s"] += time.perf_counter() - t1
+        return incoming
+
     def _one_cycle(self) -> None:
         eng = self.engine
-        links = self.links
+        seconds = self._seconds
         tag = eng.cycles_run
+        t0 = time.perf_counter()
         # worker-level faults fire just before their phase's barrier, so
         # a crash leaves the siblings wedged mid-exchange — the exact
         # situation the deadline/heartbeat machinery must detect
         self._inject(tag, "open")
         eng.shard_phase_open()
+        seconds["open_s"] += time.perf_counter() - t0
         self._inject(tag, "q")
-        req_in = links.exchange((tag, "q"), eng.take_mailbox(eng._req_out))
-        eng.shard_phase_requests(req_in)
+        eng.shard_phase_requests(self._barrier((tag, "q"), eng._req_out))
         self._inject(tag, "r")
-        rep_in = links.exchange((tag, "r"), eng.take_mailbox(eng._rep_out))
-        eng.shard_phase_replies(rep_in)
+        eng.shard_phase_replies(self._barrier((tag, "r"), eng._rep_out))
         eng.shard_phase_deliver()
         self._inject(tag, "i")
-        item_in = links.exchange(
-            (tag, "i"), eng.take_mailbox(eng._item_out, "items")
+        eng.shard_ingest_items(
+            self._barrier((tag, "i"), eng._item_out, "items")
         )
-        eng.shard_ingest_items(item_in)
         eng.shard_phase_close()
+        seconds["cycle_s"] += time.perf_counter() - t0
 
     def _state_map(self) -> dict:
         live = {}
@@ -1454,6 +1487,8 @@ class _ShardWorker:
                                 "chunk_retries": links.chunk_retries,
                                 "crc_failures": links.crc_failures,
                                 "dup_chunks": links.dup_chunks,
+                                **self._seconds,
+                                "decode_s": self.engine.decode_s,
                                 "wire": {
                                     "tier": wire_tier(),
                                     **wire.as_dict(),
@@ -2292,10 +2327,14 @@ class ShardedCycleEngine:
         Sender-side counts since start-up, in shard order — the
         measurement hook behind the mailbox-overhead numbers in
         ``PERFORMANCE.md``.  Each dict carries the chunk-transport
-        counters plus a ``"wire"`` sub-dict: the active tier and the
-        merged :class:`~repro.network.stats.WireStats` of the shard's
-        outgoing link codecs (frame bytes per encoding tier, profile
-        crossings by representation).
+        counters, the worker's own wall seconds since it started —
+        ``open_s`` (sub-cycle A), ``encode_s`` (mailbox → frames),
+        ``exchange_s`` (the barriers), ``decode_s`` (frames → rows) and
+        ``cycle_s`` (whole cycles; the rest is compute) — plus a
+        ``"wire"`` sub-dict: the active tier and the merged
+        :class:`~repro.network.stats.WireStats` of the shard's outgoing
+        link codecs (frame bytes per encoding tier, profile crossings by
+        representation).  The seconds restart with a respawned worker.
         """
         return [
             msg[1] for msg in self._broadcast(("link_stats",), "link_stats")

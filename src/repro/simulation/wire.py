@@ -16,33 +16,46 @@ This module encodes the payload in one of two tiers, selected by
 
 ``delta``
     Messages ship as flat typed blocks — one ``int64`` row table
-    (sender, target, kind, flags, wire, entry count), one ``(ids, ts,
-    wire)`` entry table sliced straight off the sender's view columns,
-    and per-profile *uid references*.  A profile's canonical state
-    crosses once per link (as packed ``uint64``/``float64`` columns);
-    every later crossing is 8 bytes.  ``ViewEntry`` tuples, addresses and
-    message objects are rebuilt receiver-side — the descriptor address is
-    a pure function of the node id (see ``RpsProtocol``), so it never
-    travels.  On top of that, a profile crossing a link whose per-node
-    base store already holds an older snapshot of the same node ships
-    only ``(base_uid, set-ops, removals)`` — the diff between the two
-    score dicts.  A snapshot usually differs from its predecessor by one
-    opinion, so re-rating traffic collapses from full profiles to a few
-    dozen bytes.
+    (sender, target, kind, flags, wire, entry count), the senders'
+    ``(ids, ts, wire)`` view-column blocks verbatim, and one *descriptor
+    index* per entry.  Every directed link keeps a **descriptor table**
+    in lock-step on both ends, exactly like the uid registry: the first
+    crossing of a descriptor — key ``(node id, timestamp, profile uid,
+    address)``, every field validated — ships an ``(id, ts, uid)`` row
+    plus its profile representation and takes the next index; every
+    later crossing *is* that index.  Gossip re-ships the same
+    descriptors cycle after cycle (≈ 95 % of a link's crossings), so the
+    sender pays two exact-type checks and one dict lookup per entry and
+    the receiver builds each message's ``entries`` as one gather from
+    its table — a ``ViewEntry`` is constructed only for new descriptors,
+    and a descriptor decodes to one shared (immutable) object per link.
+    The descriptor address is a pure function of the node id (see
+    ``RpsProtocol``), so it never travels.  A new descriptor's profile
+    crosses by uid reference when the snapshot already crossed (8 bytes),
+    as packed ``uint64``/``float64`` columns the first time, or — when
+    the per-node base store already holds an older snapshot of the same
+    node — as ``(base_uid, set-ops, removals)``, the diff between the
+    two score dicts.  A snapshot usually differs from its predecessor by
+    one opinion, so re-rating traffic collapses from full profiles to a
+    few dozen bytes.
 
-The ``delta`` tier deflates the frame body when that wins (the header's
-phase byte carries the flag; see ``_PHASE_DEFLATE``) — the whole point
-of a columnar layout is that it lines up similar bytes, so cheap
-DEFLATE does the last multiple of the byte reduction that no amount of
-structural slimming reaches (int64 tables of small values are mostly
-zero bytes; the item-phase pickles repeat class/field framing every
-row).  The legacy ``pickle`` tier is never compressed: it is the
-PR 5/6 wire kept verbatim as the comparison baseline.  Per-section
-:class:`~repro.network.stats.WireStats` counters (``column_bytes``,
-``full_bytes``, ``delta_bytes``, ``pickle_bytes``) account *raw*
-section sizes so the structural/compression contributions stay
-separately visible; ``frame_bytes`` (and the mailbox byte totals it
-feeds) is the bytes that actually cross.
+Frames are **not compressed**.  The link is a shared-memory mailbox on
+one host: nothing consumes the bytes a ``zlib.compress`` would save,
+while the compression itself sat on every worker's critical path
+between two barriers (PERFORMANCE.md, "Why frames are not deflated").
+Compression returns with a network transport, at the transport.
+Per-section :class:`~repro.network.stats.WireStats` counters
+(``column_bytes``, ``full_bytes``, ``delta_bytes``, ``pickle_bytes``)
+account section sizes; ``frame_bytes`` (and the mailbox byte totals it
+feeds) is the bytes that cross.
+
+A gossip frame (``WIRE_FORMAT_VERSION`` 2) is an 8-byte header, an
+``int64`` section-length vector and fifteen sections, 8-byte-typed ones
+first so each starts aligned: row table · column blocks · descriptor
+indices · new-descriptor ``(id, ts, uid)`` rows · FULL meta, norms, ids,
+scores · DELTA meta, norms, set ids, set scores, removed ids · one tag
+per new descriptor · overflow pickle.  An item frame is the row table
+and one pickle of the copies.
 
 Wire-format invariants:
 
@@ -54,21 +67,27 @@ Wire-format invariants:
   final state is bit-identical whichever tier carried it.
 * **Deterministic lock-step tables.**  Sender and receiver grow their
   per-link tables identically (one registry entry per first-crossing
-  uid, one base-store entry per node under a shared freshest-wins rule),
-  so the same cap rule fires at the same cycle on both ends — exactly
-  the PR 5 interning discipline, now over two stores.
+  uid, one base-store entry per node under a shared freshest-wins rule,
+  one descriptor index per first-crossing descriptor, numbered in
+  crossing order), so the same cap rule fires at the same cycle on both
+  ends and clears all three — exactly the PR 5 interning discipline,
+  now over three stores.
+* **A row is tabled whole or not at all.**  Nothing is registered until
+  every entry of a row validated, so a row that falls back to the
+  overflow pickle leaves the tables untouched.
 * **Fault-plane transparency.**  Frames are opaque bytes to the chunk
   protocol (CRC/ack/retransmit wraps them unchanged), and both codec
-  ends pickle into checkpoints, so rollback-replay reproduces delta
-  frames bit-for-bit.
+  ends — value-keyed tables included — pickle into checkpoints, so
+  rollback-replay reproduces delta frames bit-for-bit.
 * **Value-driven fallbacks.**  Rows or profiles the fast path cannot
   express (foreign payload types, custom addresses, exotic score keys)
   fall back to an embedded pickle, decided from the values alone —
   identical on replay.
 
-A frame that cannot be decoded (missing uid, missing delta base) raises
-— the link tables fell out of lock-step and corrupting a merge silently
-would be far worse.
+A frame that cannot be decoded (missing uid, missing delta base, a
+descriptor index the table does not hold, sections that do not add up)
+raises — the link tables fell out of lock-step and corrupting a merge
+silently would be far worse.
 """
 
 from __future__ import annotations
@@ -76,8 +95,8 @@ from __future__ import annotations
 import io
 import pickle
 import struct
-import zlib
 from contextlib import contextmanager
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
@@ -99,7 +118,7 @@ __all__ = [
 ]
 
 #: bump when the frame layout changes; decoders reject other versions
-WIRE_FORMAT_VERSION = 1
+WIRE_FORMAT_VERSION = 2
 
 WIRE_TIERS = ("pickle", "delta")
 
@@ -236,23 +255,15 @@ def _loads_interned(blob: bytes, registry: dict) -> object:
 # --------------------------------------------------------------------------- #
 
 _MAGIC = 0xC3D7
-_HEADER = struct.Struct("<HBBB")  # magic, format version, phase, n_sections
+#: magic, format version, phase, n_sections — padded to 8 bytes so every
+#: 8-byte-typed section of a frame starts aligned
+_HEADER = struct.Struct("<HBBB3x")
 
 _PHASE_GOSSIP = 0
 _PHASE_ITEMS = 1
 _PHASES = {"gossip": _PHASE_GOSSIP, "items": _PHASE_ITEMS}
 
-#: high bit of the header's phase byte: the body is deflate-compressed.
-#: Columnar layouts put similar bytes side by side (int64 tables of
-#: small values, runs of repeated tags/uids), which is exactly the shape
-#: cheap DEFLATE thrives on — so the ``delta`` tier compresses every frame
-#: body and keeps it only when it wins.  ``zlib.compress`` at a fixed
-#: level is deterministic, and the keep-iff-smaller rule is a pure
-#: function of the payload bytes, so replayed frames stay bit-identical.
-_PHASE_DEFLATE = 0x80
-_DEFLATE_LEVEL = 6
-
-#: per-entry profile representation tags
+#: per-descriptor profile representation tags
 _REF, _FULL, _DELTA, _PICKLED = 0, 1, 2, 3
 
 #: gossip row flags
@@ -263,24 +274,30 @@ _F_CLUSTERING = 8  # payload class is ClusteringMessage (else RpsMessage)
 
 _MAX_I64 = (1 << 63) - 1
 
+#: descriptors a link may hold per unit of the interning cap before the
+#: shared reset fires on the descriptor table's size alone (a descriptor
+#: is re-stamped every cycle while its profile uid stays, so the table
+#: outgrows the uid set; this bounds it on runs whose profiles are quiet)
+_DESC_PER_UID = 8
+
 _I64 = np.dtype(np.int64)
 _U64 = np.dtype(np.uint64)
 _F64 = np.dtype(np.float64)
 _U8 = np.dtype(np.uint8)
 
+_uid_of = attrgetter("uid")
 
 
 def _pack_frame(phase: int, sections: list[bytes]) -> bytes:
     lens = np.fromiter(
         (len(s) for s in sections), dtype=_I64, count=len(sections)
     )
-    body = b"".join((lens.tobytes(), *sections))
-    packed = zlib.compress(body, _DEFLATE_LEVEL)
-    if len(packed) < len(body):
-        phase |= _PHASE_DEFLATE
-        body = packed
-    return (
-        _HEADER.pack(_MAGIC, WIRE_FORMAT_VERSION, phase, len(sections)) + body
+    return b"".join(
+        (
+            _HEADER.pack(_MAGIC, WIRE_FORMAT_VERSION, phase, len(sections)),
+            lens.tobytes(),
+            *sections,
+        )
     )
 
 
@@ -291,18 +308,19 @@ def _unpack_frame(blob: bytes) -> tuple[int, list]:
             f"bad wire frame header (magic {magic:#x}, version {version}; "
             f"this codec speaks version {WIRE_FORMAT_VERSION})"
         )
-    if phase & _PHASE_DEFLATE:
-        phase &= ~_PHASE_DEFLATE
-        body = zlib.decompress(bytes(memoryview(blob)[_HEADER.size :]))
-    else:
-        body = blob[_HEADER.size :]
-    lens = np.frombuffer(body, dtype=_I64, count=n_sections)
-    offset = 8 * n_sections
-    mv = memoryview(body)
+    lens = np.frombuffer(
+        blob, dtype=_I64, count=n_sections, offset=_HEADER.size
+    )
+    offset = _HEADER.size + 8 * n_sections
+    mv = memoryview(blob)
     sections = []
     for length in lens.tolist():
         sections.append(mv[offset : offset + length])
         offset += length
+    if offset != len(blob):
+        raise ValueError(
+            f"wire frame is {len(blob)} bytes, its sections claim {offset}"
+        )
     return phase, sections
 
 
@@ -397,14 +415,16 @@ def _rebuild_profile(
 class LinkEncoder:
     """Sender-side state of one directed cross-shard link.
 
-    Holds the uid set of snapshots already shipped (reference crossings)
-    and the per-node base store the next delta diffs against.  Both grow
-    in lock-step with the peer :class:`LinkDecoder` — see
-    :meth:`cap_reset`.  Picklable, so checkpoints capture the wire state
-    and rollback-replay reproduces every frame bit-for-bit.
+    Holds the uid set of snapshots already shipped (reference crossings),
+    the per-node base store the next delta diffs against, and the
+    descriptor table — the index every already-shipped ``(node id,
+    timestamp, profile uid, address)`` crosses as.  All three grow in
+    lock-step with the peer :class:`LinkDecoder` — see :meth:`cap_reset`.
+    Picklable, so checkpoints capture the wire state and rollback-replay
+    reproduces every frame bit-for-bit.
     """
 
-    __slots__ = ("tier", "stats", "_sent", "_bases", "_addrs")
+    __slots__ = ("tier", "stats", "_sent", "_bases", "_desc", "_addrs")
 
     def __init__(self, tier: str | None = None) -> None:
         tier = wire_tier() if tier is None else tier
@@ -416,6 +436,9 @@ class LinkEncoder:
         self._sent: set = set()
         #: freshest shipped snapshot per node id (delta bases)
         self._bases: dict = {}
+        #: (node id, timestamp, profile uid, address) -> descriptor index,
+        #: numbered in order of first crossing (delta tier)
+        self._desc: dict = {}
         #: node id -> rebuilt address string (validation memo; not synced)
         self._addrs: dict = {}
 
@@ -425,6 +448,7 @@ class LinkEncoder:
             "stats": self.stats,
             "sent": self._sent,
             "bases": self._bases,
+            "desc": self._desc,
         }
 
     def __setstate__(self, state: dict) -> None:
@@ -432,10 +456,14 @@ class LinkEncoder:
         self.stats = state["stats"]
         self._sent = state["sent"]
         self._bases = state["bases"]
+        self._desc = state["desc"]
         self._addrs = {}
 
     def table_size(self) -> int:
         return len(self._sent)
+
+    def descriptor_count(self) -> int:
+        return len(self._desc)
 
     def cap_reset(self, cap: int) -> bool:
         """Apply the deterministic table bound; returns whether it fired.
@@ -443,12 +471,14 @@ class LinkEncoder:
         Both ends of a link grow their tables identically (one ``_sent``
         entry per first-crossing uid, mirrored by one registry entry; one
         base-store entry per first-seen node, updated under a shared
-        freshest-wins rule), so the same size rule fires at the same
-        cycle top on the sender and the receiver.
+        freshest-wins rule; one descriptor index per first-crossing
+        descriptor), so the same size rule fires at the same cycle top on
+        the sender and the receiver.
         """
-        if len(self._sent) > cap:
+        if len(self._sent) > cap or len(self._desc) > _DESC_PER_UID * cap:
             self._sent.clear()
             self._bases.clear()
+            self._desc.clear()
             self.stats.cap_resets += 1
             return True
         return False
@@ -479,12 +509,17 @@ class LinkEncoder:
         sent = self._sent
         bases = self._bases
         addrs = self._addrs
+        desc = self._desc
+        desc_get = desc.get
         stats = self.stats
+        entry_only = {ViewEntry}
+        frozen_only = {FrozenProfile}
 
         row_vals: list = []
         blocks: list = []
+        idx: list = []
+        new_vals: list = []
         tags = bytearray()
-        uids: list = []
         full_meta: list = []
         full_norms: list = []
         full_ids: list = []
@@ -531,28 +566,52 @@ class LinkEncoder:
                         or (isinstance(w, int) and 0 <= w <= _MAX_I64)
                     )
                 )
-            if ok:
-                for e in entries:
-                    if (
-                        type(e) is not ViewEntry
-                        or type(e[2]) is not FrozenProfile
-                        or not isinstance(e[0], int)
-                        or not isinstance(e[3], int)
-                        or not 0 <= e[0] <= _MAX_I64
-                        or not -_MAX_I64 <= e[3] <= _MAX_I64
-                        or e[1] != _node_address(e[0], addrs)
-                    ):
+            row_idx: list = []
+            fresh: list = []  # row positions whose descriptor is not tabled
+            if ok and entries:
+                # two exact-type checks and one table lookup per
+                # descriptor, each a C-level pass over the row.  A tabled
+                # descriptor passed the full validation below when it
+                # first crossed, and the key holds every field that
+                # validation read.
+                ok = set(map(type, entries)) == entry_only
+                if ok:
+                    nids, eaddrs, profs, stamps = zip(*entries, strict=True)
+                    ok = set(map(type, profs)) == frozen_only
+                if ok:
+                    keys = zip(
+                        nids, stamps, map(_uid_of, profs), eaddrs, strict=True
+                    )
+                    try:
+                        row_idx = list(map(desc_get, keys))
+                    except TypeError:  # an unhashable descriptor field
                         ok = False
-                        break
+                if ok and None in row_idx:
+                    for pos, i in enumerate(row_idx):
+                        if i is not None:
+                            continue
+                        nid = nids[pos]
+                        ts = stamps[pos]
+                        if (
+                            not isinstance(nid, int)
+                            or not isinstance(ts, int)
+                            or not 0 <= nid <= _MAX_I64
+                            or not -_MAX_I64 <= ts <= _MAX_I64
+                            or eaddrs[pos] != _node_address(nid, addrs)
+                        ):
+                            ok = False
+                            break
+                        fresh.append(pos)
             if not ok:
                 # whole row rides the embedded pickle (plain, un-interned:
-                # rare, and it must not disturb the lock-step tables)
+                # rare, and it must not disturb the lock-step tables —
+                # nothing above registered anything yet)
                 row_vals.append((0, 0, 0, 0, _F_OVERFLOW, -1, 0))
                 overflow.append(row)
                 stats.overflow_rows += 1
                 continue
 
-            # -- entry table: the sender's columns, verbatim when present -- #
+            # -- the sender's column block, verbatim when present --------- #
             k = len(entries)
             cols = msg.cols
             if cols is not None:
@@ -566,33 +625,33 @@ class LinkEncoder:
                 ):
                     flags |= _F_COLS
                     blocks.append(inc)
-                else:  # pragma: no cover - foreign cols shape
-                    cols = None
-            if cols is None and k:
-                blk = np.empty((3, k), dtype=_I64)
-                for i, e in enumerate(entries):
-                    blk[0, i] = e[0]
-                    blk[1, i] = e[3]
-                    blk[2, i] = -1
-                blocks.append(blk)
             if msg.is_request:
                 flags |= _F_REQUEST
             row_vals.append(
                 (a, b, msg.sender, kcode, flags, -1 if w is None else w, k)
             )
             stats.entries += k
+            # a tabled descriptor's snapshot is in ``sent`` by construction
+            # (both clear together), so it counts as a reference crossing
+            stats.ref_profiles += k - len(fresh)
 
-            # -- profile references --------------------------------------- #
-            for e in entries:
-                prof = e[2]
+            # -- first crossings: register, ship columns + profile -------- #
+            for pos in fresh:
+                nid, eaddr, prof, ts = entries[pos]
                 uid = prof.uid
-                uids.append(uid)
+                key = (nid, ts, uid, eaddr)
+                i = desc_get(key)
+                if i is not None:  # repeated within this row
+                    row_idx[pos] = i
+                    stats.ref_profiles += 1
+                    continue
+                row_idx[pos] = desc[key] = len(desc)
+                new_vals.append((nid, ts, uid))
                 if uid in sent:
                     tags.append(_REF)
                     stats.ref_profiles += 1
                     continue
                 sent.add(uid)
-                nid = e[0]
                 base = bases.get(nid)
                 encoded = False
                 if (
@@ -648,23 +707,29 @@ class LinkEncoder:
                 # rule to its reconstruction, keeping the ends in lock-step
                 if base is None or base.version <= prof.version:
                     bases[nid] = prof
+            idx.extend(row_idx)
 
-        def _cat(parts: list[np.ndarray], dtype: np.dtype) -> bytes:
+        def _cat(parts: list[np.ndarray]) -> bytes:
             if not parts:
                 return b""
             if len(parts) == 1:
                 return np.ascontiguousarray(parts[0]).tobytes()
             return np.concatenate(parts).tobytes()
 
-        row_tab = np.array(row_vals, dtype=_I64).tobytes() if row_vals else b""
+        def _table(vals: list) -> bytes:
+            return np.array(vals, dtype=_I64).tobytes() if vals else b""
+
+        row_tab = _table(row_vals)
         if blocks:
-            ent_tab = (
+            col_tab = (
                 np.concatenate(blocks, axis=1)
                 if len(blocks) > 1
                 else np.ascontiguousarray(blocks[0])
             ).tobytes()
         else:
-            ent_tab = b""
+            col_tab = b""
+        idx_tab = np.fromiter(idx, dtype=_I64, count=len(idx)).tobytes()
+        new_tab = _table(new_vals)
         pick = (
             pickle.dumps(
                 (overflow, pickled_profiles),
@@ -673,27 +738,29 @@ class LinkEncoder:
             if overflow or pickled_profiles
             else b""
         )
+        # every 8-byte-typed section first, so each starts aligned
         sections = [
             row_tab,
-            ent_tab,
-            bytes(tags),
-            np.fromiter(uids, dtype=_I64, count=len(uids)).tobytes(),
-            np.array(full_meta, dtype=_I64).tobytes() if full_meta else b"",
+            col_tab,
+            idx_tab,
+            new_tab,
+            _table(full_meta),
             np.fromiter(
                 full_norms, dtype=_F64, count=len(full_norms)
             ).tobytes(),
-            _cat(full_ids, _U64),
-            _cat(full_scores, _F64),
-            np.array(delta_meta, dtype=_I64).tobytes() if delta_meta else b"",
+            _cat(full_ids),
+            _cat(full_scores),
+            _table(delta_meta),
             np.fromiter(
                 delta_norms, dtype=_F64, count=len(delta_norms)
             ).tobytes(),
-            _cat(delta_set_ids, _U64),
-            _cat(delta_set_scores, _F64),
-            _cat(delta_removed, _U64),
+            _cat(delta_set_ids),
+            _cat(delta_set_scores),
+            _cat(delta_removed),
+            bytes(tags),
             pick,
         ]
-        stats.column_bytes += len(row_tab) + len(ent_tab)
+        stats.column_bytes += sum(len(sections[i]) for i in (0, 1, 2, 3))
         stats.full_bytes += sum(len(sections[i]) for i in (4, 5, 6, 7))
         stats.delta_bytes += sum(len(sections[i]) for i in (8, 9, 10, 11, 12))
         stats.pickle_bytes += len(pick)
@@ -729,15 +796,45 @@ class LinkEncoder:
         return _pack_frame(_PHASE_ITEMS, [row_tab, pick])
 
 
+def _check_indices(idx: np.ndarray, known: int, fresh: int) -> None:
+    """Validate a frame's descriptor-index vector against the link table.
+
+    The sender numbers first crossings ``known, known + 1, …`` in order
+    of first use, so the running maximum of a well-formed vector climbs
+    one step at a time from the table length and ends on the last of the
+    frame's *fresh* descriptor rows.  Anything else names a descriptor
+    this link does not hold (``KeyError``, like an unknown uid) or ships
+    descriptor rows nothing refers to (``ValueError``).
+    """
+    top = known - 1
+    if idx.size:
+        climb = np.maximum.accumulate(np.maximum(idx, top))
+        steps = np.diff(climb, prepend=top)
+        top = int(climb[-1])
+        if int(idx.min()) < 0 or int(steps.max()) > 1 or top >= known + fresh:
+            raise KeyError(
+                "wire frame indexes a descriptor this link does not hold "
+                f"(table {known}, fresh {fresh}; tables out of lock-step)"
+            )
+    if top != known + fresh - 1:
+        raise ValueError(
+            f"wire frame ships {fresh} descriptors, its rows refer to "
+            f"{top + 1 - known}"
+        )
+
+
 class LinkDecoder:
     """Receiver-side state of one directed cross-shard link.
 
     Mirrors the peer :class:`LinkEncoder`: a uid registry of received
-    snapshots and the per-node base store deltas resolve against, grown
-    under the identical rules so the shared cap fires in lock-step.
+    snapshots, the per-node base store deltas resolve against and the
+    descriptor table rows are gathered from, grown under the identical
+    rules so the shared cap fires in lock-step.  A re-shipped descriptor
+    decodes to the *same* ``ViewEntry`` object every time — entries are
+    immutable, so views on this shard may share it.
     """
 
-    __slots__ = ("tier", "_registry", "_bases", "_addrs")
+    __slots__ = ("tier", "_registry", "_bases", "_desc", "_addrs")
 
     def __init__(self, tier: str | None = None) -> None:
         tier = wire_tier() if tier is None else tier
@@ -748,6 +845,8 @@ class LinkDecoder:
         self._registry: dict = {}
         #: freshest received snapshot per node id (delta bases)
         self._bases: dict = {}
+        #: descriptor index -> rebuilt ``ViewEntry`` (delta tier)
+        self._desc: list = []
         #: node id -> rebuilt address string (one shared str per node)
         self._addrs: dict = {}
 
@@ -756,22 +855,28 @@ class LinkDecoder:
             "tier": self.tier,
             "registry": self._registry,
             "bases": self._bases,
+            "desc": self._desc,
         }
 
     def __setstate__(self, state: dict) -> None:
         self.tier = state["tier"]
         self._registry = state["registry"]
         self._bases = state["bases"]
+        self._desc = state["desc"]
         self._addrs = {}
 
     def table_size(self) -> int:
         return len(self._registry)
 
+    def descriptor_count(self) -> int:
+        return len(self._desc)
+
     def cap_reset(self, cap: int) -> bool:
         """The receiver half of :meth:`LinkEncoder.cap_reset`."""
-        if len(self._registry) > cap:
+        if len(self._registry) > cap or len(self._desc) > _DESC_PER_UID * cap:
             self._registry.clear()
             self._bases.clear()
+            self._desc.clear()
             return True
         return False
 
@@ -794,9 +899,9 @@ class LinkDecoder:
         from repro.network.message import MessageKind
 
         row_tab = np.frombuffer(sections[0], dtype=_I64).reshape(-1, 7)
-        ent_tab = np.frombuffer(sections[1], dtype=_I64).reshape(3, -1)
-        tags = np.frombuffer(sections[2], dtype=_U8).tolist()
-        uids = np.frombuffer(sections[3], dtype=_I64).tolist()
+        col_tab = np.frombuffer(sections[1], dtype=_I64).reshape(3, -1)
+        idx_tab = np.frombuffer(sections[2], dtype=_I64)
+        new_tab = np.frombuffer(sections[3], dtype=_I64).reshape(-1, 3)
         full_meta = np.frombuffer(sections[4], dtype=_I64).reshape(-1, 4)
         full_norms = np.frombuffer(sections[5], dtype=_F64)
         full_ids = np.frombuffer(sections[6], dtype=_U64)
@@ -806,27 +911,114 @@ class LinkDecoder:
         delta_set_ids = np.frombuffer(sections[10], dtype=_U64)
         delta_set_scores = np.frombuffer(sections[11], dtype=_F64)
         delta_removed = np.frombuffer(sections[12], dtype=_U64)
+        tags = np.frombuffer(sections[13], dtype=_U8).tolist()
         overflow: tuple = ()
         pickled_profiles: tuple = ()
-        if len(sections[13]):
-            overflow, pickled_profiles = pickle.loads(sections[13])
+        if len(sections[14]):
+            overflow, pickled_profiles = pickle.loads(sections[14])
 
         registry = self._registry
         bases = self._bases
         addrs = self._addrs
-        kinds = (MessageKind.RPS, MessageKind.WUP)
-        ids_all = ent_tab[0].tolist()
-        ts_all = ent_tab[1].tolist()
+        table = self._desc
+        if len(tags) != len(new_tab):
+            raise ValueError(
+                f"wire frame ships {len(new_tab)} descriptors, {len(tags)} tags"
+            )
+        _check_indices(idx_tab, len(table), len(new_tab))
 
-        out: list = []
-        ei = 0  # entry cursor
+        # -- first crossings, in index order: the only entries built ------ #
         fi = 0  # full-profile cursor
         f_off = 0  # full ids/scores offset
         di = 0  # delta cursor
         d_set = 0  # delta set-op offset
         d_rem = 0  # delta removal offset
-        ov = 0  # overflow cursor
         pi = 0  # pickled-profile cursor
+        for tag, (nid, ts, uid) in zip(tags, new_tab.tolist(), strict=True):
+            if tag == _REF:
+                prof = registry[uid]
+            else:
+                if tag == _FULL:
+                    meta = full_meta[fi]
+                    n_sc = int(meta[3])
+                    scores = dict(
+                        zip(
+                            full_ids[f_off : f_off + n_sc].tolist(),
+                            full_scores[f_off : f_off + n_sc].tolist(),
+                            strict=True,
+                        )
+                    )
+                    f_off += n_sc
+                    wc = int(meta[1])
+                    prof = _rebuild_profile(
+                        scores,
+                        float(full_norms[fi]),
+                        bool(meta[2]),
+                        uid,
+                        int(meta[0]),
+                        None if wc < 0 else wc,
+                    )
+                    fi += 1
+                elif tag == _DELTA:
+                    meta = delta_meta[di]
+                    base = bases.get(nid)
+                    if base is None or base.uid != int(meta[0]):
+                        raise KeyError(
+                            f"wire delta for node {nid} names base uid "
+                            f"{int(meta[0])} this link does not hold "
+                            "(tables out of lock-step)"
+                        )
+                    n_sets = int(meta[4])
+                    n_removed = int(meta[5])
+                    scores = apply_score_delta(
+                        base.scores,
+                        delta_set_ids[d_set : d_set + n_sets].tolist(),
+                        delta_set_scores[d_set : d_set + n_sets].tolist(),
+                        delta_removed[d_rem : d_rem + n_removed].tolist(),
+                    )
+                    d_set += n_sets
+                    d_rem += n_removed
+                    wc = int(meta[2])
+                    prof = _rebuild_profile(
+                        scores,
+                        float(delta_norms[di]),
+                        bool(meta[3]),
+                        uid,
+                        int(meta[1]),
+                        None if wc < 0 else wc,
+                    )
+                    di += 1
+                else:  # _PICKLED
+                    prof = _rebuild_profile(
+                        **{
+                            key: pickled_profiles[pi][key]
+                            for key in (
+                                "scores",
+                                "norm",
+                                "is_binary",
+                                "uid",
+                                "version",
+                                "wire_cache",
+                            )
+                        }
+                    )
+                    pi += 1
+                registry[uid] = prof
+                base = bases.get(nid)
+                if base is None or base.version <= prof.version:
+                    bases[nid] = prof
+            table.append(
+                ViewEntry(nid, _node_address(nid, addrs), prof, ts)
+            )
+
+        # -- rows: every message's entries are a gather from the table ---- #
+        kinds = (MessageKind.RPS, MessageKind.WUP)
+        idx = idx_tab.tolist()
+        tabled = table.__getitem__
+        out: list = []
+        ei = 0  # entry cursor
+        ci = 0  # column-block cursor
+        ov = 0  # overflow cursor
         for a, b, s, kcode, flags, w, k in row_tab.tolist():
             if flags & _F_OVERFLOW:
                 out.append(overflow[ov])
@@ -834,101 +1026,27 @@ class LinkDecoder:
                 continue
             lo = ei
             ei += k
-            entries: list = []
-            for i in range(lo, ei):
-                uid = uids[i]
-                tag = tags[i]
-                nid = ids_all[i]
-                if tag == _REF:
-                    prof = registry[uid]
-                else:
-                    if tag == _FULL:
-                        meta = full_meta[fi]
-                        n_sc = int(meta[3])
-                        scores = dict(
-                            zip(
-                                full_ids[f_off : f_off + n_sc].tolist(),
-                                full_scores[f_off : f_off + n_sc].tolist(),
-                                strict=True,
-                            )
-                        )
-                        f_off += n_sc
-                        wc = int(meta[1])
-                        prof = _rebuild_profile(
-                            scores,
-                            float(full_norms[fi]),
-                            bool(meta[2]),
-                            uid,
-                            int(meta[0]),
-                            None if wc < 0 else wc,
-                        )
-                        fi += 1
-                    elif tag == _DELTA:
-                        meta = delta_meta[di]
-                        base = bases.get(nid)
-                        if base is None or base.uid != int(meta[0]):
-                            raise KeyError(
-                                f"wire delta for node {nid} names base uid "
-                                f"{int(meta[0])} this link does not hold "
-                                "(tables out of lock-step)"
-                            )
-                        n_sets = int(meta[4])
-                        n_removed = int(meta[5])
-                        scores = apply_score_delta(
-                            base.scores,
-                            delta_set_ids[d_set : d_set + n_sets].tolist(),
-                            delta_set_scores[d_set : d_set + n_sets].tolist(),
-                            delta_removed[d_rem : d_rem + n_removed].tolist(),
-                        )
-                        d_set += n_sets
-                        d_rem += n_removed
-                        wc = int(meta[2])
-                        prof = _rebuild_profile(
-                            scores,
-                            float(delta_norms[di]),
-                            bool(meta[3]),
-                            uid,
-                            int(meta[1]),
-                            None if wc < 0 else wc,
-                        )
-                        di += 1
-                    else:  # _PICKLED
-                        prof = _rebuild_profile(
-                            **{
-                                key: pickled_profiles[pi][key]
-                                for key in (
-                                    "scores",
-                                    "norm",
-                                    "is_binary",
-                                    "uid",
-                                    "version",
-                                    "wire_cache",
-                                )
-                            }
-                        )
-                        pi += 1
-                    registry[uid] = prof
-                    base = bases.get(nid)
-                    if base is None or base.version <= prof.version:
-                        bases[nid] = prof
-                entries.append(
-                    ViewEntry(nid, _node_address(nid, addrs), prof, ts_all[i])
-                )
             cols = None
             if flags & _F_COLS and k:
-                # one contiguous copy per message: the kernel-merge fast
-                # path reads the block by address and the frame buffer is
-                # read-only
-                cols = (np.ascontiguousarray(ent_tab[:, lo:ei]), k, k)
+                # one private C-order copy per message: the kernel-merge
+                # fast path reads the block by address and the frame
+                # buffer is read-only
+                cols = (col_tab[:, ci : ci + k].copy(), k, k)
+                ci += k
             mcls = ClusteringMessage if flags & _F_CLUSTERING else RpsMessage
             msg = mcls(
                 s,
-                tuple(entries),
+                tuple(map(tabled, idx[lo:ei])),
                 bool(flags & _F_REQUEST),
                 None if w < 0 else w,
                 cols,
             )
             out.append((a, b, kinds[kcode], msg))
+        if ei != len(idx) or ci != col_tab.shape[1]:
+            raise ValueError(
+                f"wire frame rows cover {ei} entries and {ci} column slots "
+                f"of {len(idx)} and {col_tab.shape[1]} shipped"
+            )
         return out
 
     def _decode_items(self, sections: list) -> list:

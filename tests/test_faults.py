@@ -9,7 +9,8 @@ Covers the robustness PR's acceptance criteria:
   recovered run matches the fault-free run exactly;
 * chunk-level faults (drop / duplicate / corrupt / delay) self-heal on
   the wire: retransmission, sequence dedup and CRC re-request leave the
-  simulation state untouched while the counters record the healing;
+  simulation state untouched while the counters record the healing — a
+  duplicate is counted whether it lands inside its barrier or after it;
 * an externally SIGKILLed worker is detected promptly, the run completes
   through checkpoint recovery, and ``close()`` leaks no shared-memory
   segments and triggers no resource-tracker warnings;
@@ -19,11 +20,13 @@ Covers the robustness PR's acceptance criteria:
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import threading
 import time
 import warnings as _warnings
+import zlib
 
 import pytest
 
@@ -244,6 +247,83 @@ def test_chunk_faults_self_heal_bitwise(dataset, fault_free_state):
     assert stats["dup_chunks"] >= 1
     assert stats["worker_deaths"] == 0
     assert stats["recoveries"] == 0
+
+
+def test_late_duplicate_chunk_is_counted_not_stashed():
+    """A duplicate that lands after its barrier closed is still a duplicate.
+
+    The peer is scripted over the raw pipe, so the interleaving is exact:
+    the ack for our chunk is queued *ahead* of the peer's data (the peer
+    took our chunk while it was still in an earlier barrier — only
+    possible with a third shard, hence no second ``_PeerLinks`` here), so
+    barrier 1 closes on the data chunk and leaves its duplicate unread.
+    Barrier 2 must count it and drop it, not park it as data of a dead
+    tag.
+    """
+    ours, theirs = multiprocessing.Pipe()
+    links = sharding_mod._PeerLinks(0, {1: ours}, {}, {})
+
+    def chunk(tag, data):
+        return ("d", tag, 0, len(data), True, zlib.crc32(data), data)
+
+    try:
+        one, two = (0, "q"), (0, "r")
+        theirs.send(("a", one, 0))
+        theirs.send(chunk(one, b"first"))
+        theirs.send(chunk(one, b"first"))  # the duplicate
+        assert links.exchange(one, {1: b"ours"}) == [(1, b"first")]
+        assert links.dup_chunks == 0  # still in the pipe
+        theirs.send(("a", two, 0))
+        theirs.send(chunk(two, b"second"))
+        assert links.exchange(two, {1: b"ours"}) == [(1, b"second")]
+        assert links.dup_chunks == 1
+        assert links._stash == {}
+        # the straggler was re-acknowledged under its own tag
+        sent = []
+        while theirs.poll(0):
+            sent.append(theirs.recv())
+        assert [m[:3] for m in sent if m[0] == "a"] == [
+            ("a", one, 0),
+            ("a", one, 0),
+            ("a", two, 0),
+        ]
+    finally:
+        ours.close()
+        theirs.close()
+
+
+def test_duplicated_chunk_between_two_links_heals_across_barriers():
+    """Two real link ends in threads: seq 0 duplicated on barrier 1."""
+    end_a, end_b = multiprocessing.Pipe()
+    wire = {"timeout": 20.0, "backoff": 0.05}
+    injector = FaultInjector(FaultSchedule.parse("dup_chunk@0:0:q"), 0)
+    link_a = sharding_mod._PeerLinks(0, {1: end_a}, {}, {}, injector, wire)
+    link_b = sharding_mod._PeerLinks(1, {0: end_b}, {}, {}, None, wire)
+    got: dict = {}
+
+    def drive(name, links, peer):
+        got[name] = [
+            links.exchange((0, phase), {peer: f"{name}-{phase}".encode()})
+            for phase in ("q", "r")
+        ]
+
+    threads = [
+        threading.Thread(target=drive, args=("a", link_a, 1)),
+        threading.Thread(target=drive, args=("b", link_b, 0)),
+    ]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30.0)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        end_a.close()
+        end_b.close()
+    assert got["a"] == [[(1, b"b-q")], [(1, b"b-r")]]
+    assert got["b"] == [[(0, b"a-q")], [(0, b"a-r")]]
+    assert (link_a.dup_chunks, link_b.dup_chunks) == (0, 1)
+    assert link_a._stash == {} and link_b._stash == {}
 
 
 def test_corrupt_arena_recovers_from_checkpoint(dataset, fault_free_state):

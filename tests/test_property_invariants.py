@@ -22,6 +22,11 @@ inputs rather than one fixed seed:
 * **Pipelines = reference** — over generated small runs (seed, population,
   fanout, loss, length) the ``fast`` pipeline, with and without the
   kernels, leaves the ``reference`` pipeline's exact full state.
+* **Delta link = lock-step stores** — a rule-based state machine drives
+  one ``LinkEncoder``/``LinkDecoder`` pair through generated frames,
+  profile edits, overflow rows, cap resets and checkpoint round-trips;
+  what is decoded equals what was encoded and both ends' tables agree
+  after every step.
 
 Profiles: ``HYPOTHESIS_PROFILE=ci`` (CI: 100 examples per property) or the
 default ``dev`` (fast local iteration).
@@ -31,9 +36,11 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro._native import load as load_native, native_kernel
 from repro.core.profiles import FrozenProfile, ItemProfile, UserProfile
@@ -583,3 +590,192 @@ def test_wire_tier_is_pure_transport(seed, cycles, shm):
 def test_sharded_delta_run_is_deterministic(seed):
     """Same (seed, shards) → bit-identical state, every time."""
     assert _sharded_state(seed, 4, "delta", True) == _delta_baseline(seed, 4)
+
+
+# --------------------------------------------------------------------------- #
+# the delta link's lock-step stores, as a state machine                       #
+# --------------------------------------------------------------------------- #
+#
+# One directed link under generated traffic.  The model is what the link
+# has carried in the current table generation: every rule ships a frame,
+# decodes it, and checks it against the rows that went in.  The stores
+# (uid registry, delta bases, descriptor table) are never inspected
+# directly — only through what a later frame decodes to, and through the
+# two size accessors both ends must agree on.
+
+_LINK_CAP = 5  # uid-table bound the cap rule applies (descriptors: 8x)
+_link_nodes = st.integers(min_value=0, max_value=9)
+
+
+class DeltaLinkMachine(RuleBasedStateMachine):
+    def __init__(self) -> None:
+        super().__init__()
+        from repro.simulation.wire import LinkDecoder, LinkEncoder
+
+        self.enc = LinkEncoder("delta")
+        self.dec = LinkDecoder("delta")
+        self.timelines: dict[int, dict] = {}  # node id -> live score dict
+        self.snapshots: dict[int, FrozenProfile] = {}  # node id -> current
+        self.clock = 0
+        #: descriptors carried in this table generation, as sent
+        self.carried: list[ViewEntry] = []
+        #: descriptor value -> the object the decoder resolved it to
+        self.resolved: dict[tuple, ViewEntry] = {}
+
+    # -- model helpers ----------------------------------------------------- #
+
+    def _snapshot(self, nid: int) -> FrozenProfile:
+        if nid not in self.snapshots:
+            self.timelines[nid] = {nid: 1.0, nid + 20: 0.0, nid + 40: 1.0}
+            self._freeze(nid)
+        return self.snapshots[nid]
+
+    def _freeze(self, nid: int) -> None:
+        previous = self.snapshots.get(nid)
+        self.snapshots[nid] = FrozenProfile(
+            dict(self.timelines[nid]),
+            is_binary=True,
+            version=0 if previous is None else previous.version + 1,
+        )
+
+    def _stamp(self, nid: int) -> ViewEntry:
+        self.clock += 1
+        return ViewEntry(
+            nid, f"10.0.{nid >> 8 & 255}.{nid & 255}", self._snapshot(nid), self.clock
+        )
+
+    def _sizes(self) -> tuple:
+        return (
+            self.enc.table_size(),
+            self.enc.descriptor_count(),
+            self.dec.table_size(),
+            self.dec.descriptor_count(),
+        )
+
+    def _cross(self, *shipments: tuple) -> None:
+        """Ship one frame (a message per shipment); check what comes out."""
+        from repro.gossip.rps import RpsMessage
+        from repro.gossip.vicinity import ClusteringMessage
+        from repro.network.message import MessageKind
+        from tests.test_wire import assert_messages_equal
+
+        rows = []
+        for n, entries in enumerate(shipments):
+            k = len(entries)
+            cols = None
+            if n % 2 == 0 and k:
+                block = [[e[0] for e in entries], [e[3] for e in entries], [7] * k]
+                cols = (np.array(block, dtype=np.int64), k, k)
+            wire = None if n % 3 == 0 else 7 * k
+            if n % 2:
+                msg = ClusteringMessage(n, tuple(entries), False, wire, cols)
+                rows.append((n, n + 1, MessageKind.WUP, msg))
+            else:
+                msg = RpsMessage(n, tuple(entries), True, wire, cols)
+                rows.append((n, n + 1, MessageKind.RPS, msg))
+        out = self.dec.decode(self.enc.encode(rows, "gossip"))
+        assert len(out) == len(rows)
+        for (a, b, kind, sent), (da, db, dkind, got) in zip(rows, out, strict=True):
+            assert (a, b, kind) == (da, db, dkind)
+            assert_messages_equal(sent, got)
+            if any(e[1].startswith("203.") for e in sent.entries):
+                continue  # an overflow row: plain pickle, nothing tabled
+            for e, d in zip(sent.entries, got.entries, strict=True):
+                self.carried.append(e)
+                key = (e[0], e[3], e[2].uid)
+                # one shared object per descriptor per table generation
+                assert self.resolved.setdefault(key, d) is d
+
+    # -- rules ------------------------------------------------------------- #
+
+    @rule(
+        picks=st.lists(st.integers(min_value=0, max_value=10**6), max_size=8),
+        fresh=st.lists(_link_nodes, max_size=3),
+        split=st.integers(min_value=0, max_value=8),
+    )
+    def frame_of_known_and_new(self, picks, fresh, split):
+        # equal-valued copies, as a sender rebuilds descriptors per shipment
+        known = [
+            ViewEntry(*self.carried[i % len(self.carried)])
+            for i in picks
+            if self.carried
+        ]
+        entries = known + [self._stamp(nid) for nid in fresh]
+        self._cross(tuple(entries[:split]), tuple(entries[split:]), ())
+
+    @rule(nid=_link_nodes)
+    def restamp_known_profile(self, nid):
+        self._cross((self._stamp(nid),))
+
+    @rule(nid=_link_nodes, item=st.integers(0, 60), like=st.booleans())
+    def rate_then_ship(self, nid, item, like):
+        self._snapshot(nid)
+        self.timelines[nid][item] = 1.0 if like else 0.0
+        self._freeze(nid)
+        self._cross((self._stamp(nid),))
+
+    @rule(nid=_link_nodes)
+    def forget_then_ship(self, nid):
+        self._snapshot(nid)
+        timeline = self.timelines[nid]
+        if len(timeline) > 1:
+            del timeline[next(iter(timeline))]
+            self._freeze(nid)
+        self._cross((self._stamp(nid),))
+
+    @rule(nid=_link_nodes, base=st.integers(100, 10**6))
+    def rekey_then_ship(self, nid, base):
+        # nothing survives: the diff is not worth a delta, ships whole
+        self.timelines[nid] = {base + i: float(i % 2) for i in range(4)}
+        self._freeze(nid)
+        self._cross((self._stamp(nid),))
+
+    @rule(nid=_link_nodes)
+    def exotic_key_then_ship(self, nid):
+        self._snapshot(nid)
+        self.timelines[nid][-1 - nid] = 1.0  # cannot ride a uint64 column
+        self._freeze(nid)
+        self._cross((self._stamp(nid),))
+
+    @rule(nid=_link_nodes, lead=_link_nodes)
+    def custom_address_row(self, nid, lead):
+        weird = ViewEntry(nid, "203.0.113.7", self._snapshot(nid), self.clock)
+        before = self._sizes()
+        # valid first crossings ahead of the bad entry must not be tabled
+        self._cross((self._stamp(lead), weird), (weird,))
+        assert self._sizes() == before
+
+    @rule()
+    def cap_reset(self):
+        fired = self.enc.cap_reset(_LINK_CAP)
+        assert self.dec.cap_reset(_LINK_CAP) == fired
+        if fired:  # a new table generation on both ends
+            assert self._sizes() == (0, 0, 0, 0)
+            self.carried.clear()
+            self.resolved.clear()
+
+    @rule()
+    def checkpoint_roundtrip(self):
+        self.enc = pickle.loads(pickle.dumps(self.enc))
+        self.dec = pickle.loads(pickle.dumps(self.dec))
+        self.resolved.clear()  # the restored table holds new objects
+
+    # -- invariants -------------------------------------------------------- #
+
+    @invariant()
+    def tables_in_lock_step(self):
+        assert self.enc.table_size() == self.dec.table_size()
+        assert self.enc.descriptor_count() == self.dec.descriptor_count()
+
+    @invariant()
+    def every_crossing_accounted_once(self):
+        stats = self.enc.stats
+        assert stats.entries == (
+            stats.ref_profiles
+            + stats.full_profiles
+            + stats.delta_profiles
+            + stats.pickled_profiles
+        )
+
+
+TestDeltaLinkMachine = DeltaLinkMachine.TestCase

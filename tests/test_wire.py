@@ -12,14 +12,20 @@ Covers the wire format's contracts:
 * value-driven fallbacks — rows the fast path cannot express (custom
   addresses, foreign payloads, exotic score keys) ride the embedded
   pickle and still round-trip;
+* the per-link descriptor table: a descriptor crosses with its columns
+  and profile once, every later crossing is its index and decodes to the
+  one shared ``ViewEntry``; rows that overflow leave the table alone;
 * protocol errors raise instead of corrupting state (unknown uid,
-  missing delta base, foreign frame version);
+  missing delta base, an index vector that does not fit the table,
+  foreign frame version);
 * end-to-end equivalence: a sharded run's final state is bit-identical
   across the ``pickle`` and ``delta`` tiers, shm on or off, and the delta
   tier measurably shrinks the mailbox bytes.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pytest
@@ -37,6 +43,8 @@ from repro.simulation.wire import (
     WIRE_FORMAT_VERSION,
     LinkDecoder,
     LinkEncoder,
+    _pack_frame,
+    _unpack_frame,
     wire_tier,
 )
 
@@ -145,6 +153,35 @@ def test_ref_crossing_resolves_to_the_registered_object():
     assert second[0][3].entries[0][2] is first[0][3].entries[0][2]
 
 
+def test_known_descriptor_crosses_as_an_index_to_one_shared_entry():
+    enc, dec = link("delta")
+    p = profile({1: 1.0, 2: -1.0})
+    rows = [
+        (0, 1, MessageKind.RPS, RpsMessage(0, (entry(2, p, 4), entry(3, p, 4)), True)),
+        (1, 0, MessageKind.WUP, ClusteringMessage(1, (entry(2, p, 4),), False)),
+    ]
+    first = dec.decode(enc.encode(rows, "gossip"))
+    # (2, ts 4) crossed twice in the frame, (3, ts 4) once: two descriptors
+    assert enc.descriptor_count() == dec.descriptor_count() == 2
+    assert first[0][3].entries[0] is first[1][3].entries[0]
+    full_bytes = enc.stats.full_bytes
+    blob = enc.encode(rows, "gossip")
+    second = dec.decode(blob)
+    # nothing new: no descriptor, no profile section, one shared object
+    assert enc.descriptor_count() == dec.descriptor_count() == 2
+    assert enc.stats.full_bytes == full_bytes
+    assert enc.stats.full_profiles == 1 and enc.stats.ref_profiles == 5
+    for (_, _, _, old), (_, _, _, new) in zip(first, second, strict=True):
+        assert all(a is b for a, b in zip(old.entries, new.entries, strict=True))
+    # a re-stamped descriptor is a new one, its known profile a reference
+    third = dec.decode(
+        enc.encode([(0, 1, MessageKind.RPS, RpsMessage(0, (entry(2, p, 5),), True))], "gossip")
+    )
+    assert enc.descriptor_count() == dec.descriptor_count() == 3
+    assert third[0][3].entries[0][2] is first[0][3].entries[0][2]
+    assert enc.stats.full_profiles == 1
+
+
 def test_delta_reproduces_exact_dict_order_and_bits():
     enc, dec = link("delta")
     base = profile({10: 1.0, 11: -1.0, 12: 1.0}, version=3)
@@ -192,8 +229,10 @@ def test_cap_reset_clears_both_ends_in_lockstep():
         enc.encode([(0, 1, MessageKind.RPS, RpsMessage(0, (entry(2, p),), True))], "gossip")
     )
     assert enc.table_size() == 1 and dec.table_size() == 1
+    assert enc.descriptor_count() == 1 and dec.descriptor_count() == 1
     assert enc.cap_reset(0) and dec.cap_reset(0)
     assert enc.table_size() == 0 and dec.table_size() == 0
+    assert enc.descriptor_count() == 0 and dec.descriptor_count() == 0
     assert enc.stats.cap_resets == 1
     # after the reset the same profile ships FULL again and decodes fine
     out = dec.decode(
@@ -222,6 +261,22 @@ def test_custom_address_rides_the_overflow_pickle():
     assert out[0][3].entries[0][1] == "203.0.113.7"
     assert out[1][3].entries[0][1] == addr(5)
     assert [r[:2] for r in out] == [(0, 1), (1, 0)]  # order preserved
+    # only the fast-path row's descriptor and snapshot were tabled
+    assert enc.descriptor_count() == dec.descriptor_count() == 1
+    assert enc.table_size() == dec.table_size() == 1
+
+
+def test_overflow_row_registers_nothing_even_after_valid_entries():
+    """A row is tabled only once *all* of it validated."""
+    enc, dec = link("delta")
+    ok = entry(5, profile({2: 1.0}), 1)
+    weird = ViewEntry(3, "203.0.113.7", profile({1: 1.0}), 2)
+    rows = [(0, 1, MessageKind.RPS, RpsMessage(0, (ok, weird), True))]
+    out = dec.decode(enc.encode(rows, "gossip"))
+    assert enc.stats.overflow_rows == 1
+    assert [e[:2] for e in out[0][3].entries] == [(5, addr(5)), (3, "203.0.113.7")]
+    assert enc.descriptor_count() == dec.descriptor_count() == 0
+    assert enc.table_size() == dec.table_size() == 0
 
 
 def test_exotic_score_keys_fall_back_to_pickled_profile():
@@ -260,56 +315,76 @@ def test_item_rows_roundtrip():
 # --------------------------------------------------------------------------- #
 
 
-def test_columnar_frames_deflate_when_it_wins():
-    """Redundant frames ship deflated; the flag rides the phase byte.
-
-    Columnar bodies are int64 tables of small values, so any realistic
-    flush compresses.  The section counters keep accounting *raw* sizes
-    (the structural story), while ``frame_bytes`` is what crossed.
-    """
-    from repro.simulation.wire import _PHASE_DEFLATE
-
-    enc, dec = link("delta")
-    profs = [profile({i: 1.0}, version=1) for i in range(64)]
-    entries = tuple(entry(i, p, 3) for i, p in enumerate(profs))
-    rows = [
-        (n, n + 1, MessageKind.RPS, RpsMessage(n, entries, True, 9, None))
-        for n in range(8)
-    ]
-    blob = enc.encode(rows, "gossip")
-    assert blob[3] & _PHASE_DEFLATE
-    # the raw column tables alone outweigh the whole compressed frame
-    assert enc.stats.column_bytes > len(blob) == enc.stats.frame_bytes
-    out = dec.decode(blob)
-    for (a, b, kind, msg), (da, db, dkind, dmsg) in zip(rows, out, strict=True):
-        assert (a, b, kind) == (da, db, dkind)
-        assert_messages_equal(msg, dmsg)
-
-
-def test_incompressible_frame_stays_raw():
-    from repro.simulation.wire import (
-        _PHASE_DEFLATE,
-        _pack_frame,
-        _unpack_frame,
-    )
-
-    # pure random bytes cannot deflate: keep-iff-smaller says raw
-    raw = np.random.default_rng(7).bytes(1 << 16)
-    blob = _pack_frame(0, [raw])
-    assert not blob[3] & _PHASE_DEFLATE
-    phase, sections = _unpack_frame(blob)
-    assert phase == 0 and bytes(sections[0]) == raw
-
-
 def test_unknown_uid_reference_raises():
     enc, _ = link("delta")
     p = profile({1: 1.0})
     row = [(0, 1, MessageKind.RPS, RpsMessage(0, (entry(2, p),), True))]
     enc.encode(row, "gossip")  # first crossing consumed by nobody
-    blob = enc.encode(row, "gossip")  # second crossing: a REF
+    blob = enc.encode(row, "gossip")  # second crossing: a bare table index
     fresh = LinkDecoder("delta")
     with pytest.raises(KeyError):
         fresh.decode(blob)
+
+
+def _retarget(blob: bytes, indices) -> bytes:
+    """*blob* with its descriptor-index section replaced by *indices*."""
+    phase, sections = _unpack_frame(blob)
+    sections = [bytes(section) for section in sections]
+    sections[2] = np.asarray(indices, dtype=np.int64).tobytes()
+    return _pack_frame(phase, sections)
+
+
+@pytest.mark.parametrize(
+    "indices, error",
+    [
+        ([0, 1, 2, 9], KeyError),  # beyond the table
+        ([0, 1, 3, 3], KeyError),  # a gap: 3 before 2 was defined
+        ([0, 1, 3, 2], KeyError),  # first occurrences out of order
+        ([0, -1, 2, 3], KeyError),  # list indexing would accept it silently
+        ([0, 1, 2, 2], ValueError),  # descriptor 3 shipped, never referred to
+    ],
+)
+def test_malformed_descriptor_indices_raise(indices, error):
+    enc, dec = link("delta")
+    p = profile({1: 1.0})
+    known = (entry(2, p, 1), entry(3, p, 1))
+    dec.decode(
+        enc.encode([(0, 1, MessageKind.RPS, RpsMessage(0, known, True))], "gossip")
+    )
+    fresh = (entry(2, p, 2), entry(3, p, 2))
+    blob = enc.encode(
+        [(0, 1, MessageKind.RPS, RpsMessage(0, known + fresh, True))], "gossip"
+    )
+    synced = pickle.dumps(dec)
+    # the frame as sent decodes; the same frame re-indexed must not
+    assert len(pickle.loads(synced).decode(_retarget(blob, [0, 1, 2, 3]))) == 1
+    with pytest.raises(error):
+        pickle.loads(synced).decode(_retarget(blob, indices))
+
+
+def test_restamped_descriptor_of_an_unheld_snapshot_raises():
+    """A new descriptor may name its profile by uid — which must be held."""
+    enc, dec = link("delta")
+    p = profile({1: 1.0})
+    dec.decode(
+        enc.encode([(0, 1, MessageKind.RPS, RpsMessage(0, (entry(2, p, 1),), True))], "gossip")
+    )
+    blob = enc.encode(
+        [(0, 1, MessageKind.RPS, RpsMessage(0, (entry(2, p, 2),), True))], "gossip"
+    )
+    assert enc.stats.full_profiles == 1 and enc.stats.ref_profiles == 1
+    dec._registry.clear()  # the descriptor table agrees, the registry lost p
+    with pytest.raises(KeyError):
+        dec.decode(blob)
+
+
+def test_frame_whose_sections_do_not_fill_it_raises():
+    enc, dec = link("delta")
+    blob = enc.encode([(9, 1, MessageKind.RPS, RpsMessage(9, (), False, 1, None))], "gossip")
+    with pytest.raises(ValueError):
+        dec.decode(blob + b"\x00" * 8)
+    with pytest.raises(ValueError):
+        dec.decode(blob[:-8])
 
 
 def test_delta_with_missing_base_raises():
@@ -501,6 +576,17 @@ def test_forced_cap_resets_preserve_equivalence(dataset, monkeypatch):
     state_small, mailbox = run_tiered(dataset, "delta", shards=2, cycles=8)
     assert state_small == state_ref
     assert sum(s["wire"]["cap_resets"] for s in mailbox) > 0
+
+
+def test_mailbox_stats_report_in_worker_seconds(dataset):
+    """Each worker reports where its cycles went; the parts fit the whole."""
+    _, mailbox = run_tiered(dataset, "delta", shards=2, cycles=6)
+    assert len(mailbox) == 2
+    for shard in mailbox:
+        parts = [shard[k] for k in ("open_s", "encode_s", "exchange_s", "decode_s")]
+        assert all(isinstance(v, float) and v >= 0.0 for v in parts)
+        assert shard["encode_s"] > 0.0 and shard["decode_s"] > 0.0
+        assert sum(parts) < shard["cycle_s"]
 
 
 def test_default_tier_is_delta():
