@@ -24,6 +24,11 @@ Build in place (writes ``_kernels.*.so`` next to this file)::
 
     PYTHONPATH=src python -m repro._native.build_native
 
+A build whose compiled-in stamp no longer matches ``build_native``'s
+sources and flags is **stale**: :func:`load` checks the stamp before
+importing the extension, reports it unavailable and warns once with the
+rebuild command; :func:`ensure_built` rebuilds it.
+
 The descriptor contract (``_nd``)
 ---------------------------------
 
@@ -78,7 +83,10 @@ shards; no kernel ever blocks while holding it.
 
 from __future__ import annotations
 
+import importlib.util
+import warnings
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -350,10 +358,44 @@ _UNSET = object()
 _loaded: object = _UNSET
 
 
+def _probe() -> str:
+    """``"missing"``, ``"stale"`` or ``"fresh"``: the built extension's
+    stamp against its sources, read from the file without importing it
+    (CPython cannot reload an extension once imported)."""
+    spec = importlib.util.find_spec("repro._native._kernels")
+    if spec is None or spec.origin is None:
+        return "missing"
+    from repro._native.build_native import STAMP_PREFIX, source_digest
+
+    try:
+        built = Path(spec.origin).read_bytes()
+    except OSError:
+        return "missing"
+    stamp = (STAMP_PREFIX + source_digest()).encode()
+    return "fresh" if stamp in built else "stale"
+
+
 def load() -> NativeKernel | None:
-    """The wrapped compiled module, or ``None`` when it is not built."""
+    """The wrapped compiled module, or ``None`` when it is not built.
+
+    A stale build (see the module docstring) is never imported: it counts
+    as unavailable, with one ``RuntimeWarning`` naming the rebuild command.
+    """
     global _loaded
     if _loaded is _UNSET:
+        status = _probe()
+        if status == "stale":
+            warnings.warn(
+                "repro._native: the compiled extension is stale (its build "
+                "stamp does not match the kernel sources); running on the "
+                "Python tiers — rebuild it with "
+                "`python -m repro._native.build_native`",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        if status != "fresh":
+            _loaded = None
+            return None
         try:
             from repro._native import _kernels  # type: ignore[attr-defined]
         except ImportError:
@@ -364,19 +406,19 @@ def load() -> NativeKernel | None:
 
 
 def ensure_built(verbose: bool = False) -> NativeKernel | None:
-    """Load the extension, building it in place first if necessary.
+    """Load the extension, building it in place first if it is missing,
+    stale or fails to import.
 
     Requires cffi and a C toolchain; returns ``None`` (never raises) when
     either is missing, leaving the Python tiers in charge.
     """
     global _loaded
-    kernel_mod = load()
-    if kernel_mod is not None:
-        return kernel_mod
-    try:
-        from repro._native.build_native import build_inplace
-    except ImportError:
-        return None
+    if _loaded is _UNSET and _probe() == "fresh":
+        load()
+    if isinstance(_loaded, NativeKernel):
+        return _loaded
+    from repro._native.build_native import build_inplace
+
     if build_inplace(verbose=verbose) is None:
         return None
     _loaded = _UNSET
@@ -384,7 +426,7 @@ def ensure_built(verbose: bool = False) -> NativeKernel | None:
 
 
 def native_available() -> bool:
-    """Whether the compiled extension is importable."""
+    """Whether the compiled extension is built, fresh and importable."""
     return load() is not None
 
 

@@ -53,7 +53,16 @@ Every kernel reproduces the scalar Python metrics *bit for bit*:
 The build is optional everywhere: ``setup.py`` wires it up only when cffi
 is importable, and :func:`build_inplace` compiles the extension next to the
 package for ``PYTHONPATH=src`` trees.  Without a C toolchain the pure-Python
-tier keeps working (see :mod:`repro._native`).
+tier keeps working (see :mod:`repro._native`).  This module imports cffi
+only to build, so the loader can read :func:`source_digest` without it.
+
+Build stamp
+-----------
+Every build compiles in a stamp, ``STAMP_PREFIX`` followed by
+:func:`source_digest` — a sha256 over ``CDEF``, ``C_SOURCE`` and the
+compile/link flags.  :func:`repro._native.load` reads it from the shared
+object's bytes *before* importing it (CPython cannot reload an imported
+extension) and treats a missing or different stamp as a stale build.
 
 Build it in place with::
 
@@ -62,9 +71,8 @@ Build it in place with::
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
-
-import cffi
 
 from repro.core.gates import env_flag
 
@@ -738,33 +746,55 @@ else:
     _compile_args = ["-O2"]
     _link_args = []
 
-ffibuilder = cffi.FFI()
-ffibuilder.cdef(CDEF)
-ffibuilder.set_source(
-    "repro._native._kernels",
-    C_SOURCE,
-    extra_compile_args=_compile_args,
-    extra_link_args=_link_args,
-    # the kernels use fast CPython internals (PyList_GET_ITEM & co.), so
-    # the stable-ABI subset is off the table; the extension is rebuilt
-    # per interpreter anyway.  _CFFI_NO_LIMITED_API stops the generated
-    # preamble from defining Py_LIMITED_API, py_limited_api=False keeps
-    # setuptools from tagging the wheel abi3.
-    define_macros=[("_CFFI_NO_LIMITED_API", None)],
-    py_limited_api=False,
-)
+#: the compiled-in stamp is this prefix followed by :func:`source_digest`
+STAMP_PREFIX = "repro-native-stamp:"
+
+
+def source_digest() -> str:
+    """sha256 (hex) of everything a build compiles: sources and flags."""
+    h = hashlib.sha256()
+    for part in (CDEF, C_SOURCE, *_compile_args, "--link", *_link_args):
+        h.update(part.encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def ffibuilder():
+    """The configured cffi builder (``setup.py``'s ``cffi_modules`` hook
+    accepts a callable)."""
+    import cffi
+
+    ffi = cffi.FFI()
+    ffi.cdef(CDEF)
+    ffi.set_source(
+        "repro._native._kernels",
+        # "used": only the loader reads the stamp, from the file
+        C_SOURCE
+        + "\n__attribute__((used)) const char whatsup_build_stamp[] = "
+        + f'"{STAMP_PREFIX}{source_digest()}";\n',
+        extra_compile_args=_compile_args,
+        extra_link_args=_link_args,
+        # the kernels use fast CPython internals (PyList_GET_ITEM & co.), so
+        # the stable-ABI subset is off the table; the extension is rebuilt
+        # per interpreter anyway.  _CFFI_NO_LIMITED_API stops the generated
+        # preamble from defining Py_LIMITED_API, py_limited_api=False keeps
+        # setuptools from tagging the wheel abi3.
+        define_macros=[("_CFFI_NO_LIMITED_API", None)],
+        py_limited_api=False,
+    )
+    return ffi
 
 
 def build_inplace(verbose: bool = False) -> str | None:
     """Compile the extension next to the installed/checked-out package.
 
     Returns the path to the built shared object, or ``None`` when the build
-    fails (no C toolchain, read-only tree, ...) — callers treat that as
-    "native kernels unavailable" and stay on the Python tiers.
+    fails (no cffi, no C toolchain, read-only tree, ...) — callers treat
+    that as "native kernels unavailable" and stay on the Python tiers.
     """
     target_dir = Path(__file__).resolve().parent.parent.parent
     try:
-        return ffibuilder.compile(tmpdir=str(target_dir), verbose=verbose)
+        return ffibuilder().compile(tmpdir=str(target_dir), verbose=verbose)
     except Exception:  # pragma: no cover - toolchain-dependent
         return None
 

@@ -25,6 +25,7 @@ from repro.simulation.harness import SystemHarness
 from repro.simulation.sharding import make_engine
 from repro.utils.exceptions import SimulationError
 from repro.utils.rng import RngStreams
+from repro.utils.runtime import collector_paused
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     # imported lazily at runtime to avoid a core <-> datasets import cycle
@@ -91,7 +92,9 @@ class WhatsUpSystem(SystemHarness):
         run_config: object | None = None,
     ) -> None:
         self._run_config = run_config
-        with self._configured():
+        # construction allocates the whole population and nothing cyclic:
+        # the collector would only re-walk it (repro.utils.runtime)
+        with self._configured(), collector_paused():
             self._build(
                 dataset,
                 config,

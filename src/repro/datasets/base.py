@@ -20,13 +20,18 @@ not redistributable (ARCHITECTURE.md, "Layer map", lists the generators).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.core.news import NewsItem
 from repro.simulation.schedule import PublicationSchedule
 from repro.utils.exceptions import DatasetError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    # networkx is optional: only the Digg generator and repro.metrics.graph
+    # import it, inside the functions that build or analyse graphs
+    import networkx as nx
 
 __all__ = ["Dataset", "OpinionOracle"]
 

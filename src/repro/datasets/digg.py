@@ -22,7 +22,8 @@ exercises:
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.datasets._build import ensure_items_liked, finalize_items
@@ -30,6 +31,9 @@ from repro.datasets.base import Dataset
 from repro.utils.exceptions import DatasetError
 from repro.utils.rng import spawn_generator
 from repro.utils.validation import check_positive, check_probability
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 __all__ = ["digg_dataset", "zipf_weights"]
 
@@ -72,8 +76,10 @@ def _follower_graph(
     existing *influencers*.  With probability ``homophily`` the influencer
     is drawn (follower-count-weighted) among users sharing a category with
     the joiner, otherwise among everyone.  An edge ``influencer → joiner``
-    means the joiner receives the influencer's cascades.
+    means the joiner receives the influencer's cascades.  Needs networkx.
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     graph.add_nodes_from(range(n_users))
     join_order = rng.permutation(n_users)
@@ -153,6 +159,11 @@ def digg_dataset(
     Dataset
         With ``social_graph`` set (the cascade substrate) and
         ``n_topics = n_categories``.
+
+    Raises
+    ------
+    ImportError
+        Without networkx: the social graph is a :class:`networkx.DiGraph`.
     """
     check_probability("homophily", homophily)
     check_probability("noise", noise)

@@ -12,15 +12,19 @@ The paper characterises the overlay the WUP/clustering views induce:
 * the **number of (weakly) connected components** at small fanouts —
   fragmentation (WHATSUP ~1.6 components at fanout 3 versus ~12.4 for the
   cosine variant).
+
+Graphs are :class:`networkx.DiGraph` objects, so these functions need
+networkx; it is imported when they run, never by ``import repro``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.gossip.views import View
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 __all__ = [
     "overlay_graph",
@@ -51,6 +55,8 @@ def overlay_graph(
     An edge ``u → v`` means *v* is in *u*'s view (u can forward items to
     v).  Dead nodes (churn) are excluded along with their edges.
     """
+    import networkx as nx
+
     view_of = view_of if view_of is not None else _default_view
     graph = nx.DiGraph()
     alive: dict[int, object] = {
@@ -69,6 +75,8 @@ def lscc_fraction(graph: nx.DiGraph) -> float:
     n = graph.number_of_nodes()
     if n == 0:
         return 0.0
+    import networkx as nx
+
     largest = max(nx.strongly_connected_components(graph), key=len)
     return len(largest) / n
 
@@ -77,6 +85,8 @@ def weak_component_count(graph: nx.DiGraph) -> int:
     """Number of weakly connected components (fragmentation measure)."""
     if graph.number_of_nodes() == 0:
         return 0
+    import networkx as nx
+
     return nx.number_weakly_connected_components(graph)
 
 
@@ -84,6 +94,8 @@ def average_clustering(graph: nx.DiGraph) -> float:
     """Average clustering coefficient of the undirected projection."""
     if graph.number_of_nodes() == 0:
         return 0.0
+    import networkx as nx
+
     return float(nx.average_clustering(graph.to_undirected()))
 
 

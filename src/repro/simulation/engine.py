@@ -46,6 +46,7 @@ class unchanged.
 
 from __future__ import annotations
 
+import weakref
 from collections import defaultdict
 from typing import Callable, Iterable
 
@@ -59,6 +60,7 @@ from repro.simulation.node import BaseNode
 from repro.simulation.schedule import PublicationSchedule
 from repro.utils.exceptions import SimulationError
 from repro.utils.rng import RngStreams
+from repro.utils.runtime import collector_paused
 
 __all__ = ["CycleEngine"]
 
@@ -97,7 +99,7 @@ class CycleEngine:
             if node.node_id in self.nodes:
                 raise SimulationError(f"duplicate node id {node.node_id}")
             self.nodes[node.node_id] = node
-            node._alive_listener = self._on_alive_changed
+            node._alive_listener = weakref.WeakMethod(self._on_alive_changed)
         self.schedule = schedule
         self.transport = transport if transport is not None else PerfectTransport()
         self.streams = streams if streams is not None else RngStreams(0)
@@ -145,7 +147,7 @@ class CycleEngine:
         if node.node_id in self.nodes:
             raise SimulationError(f"duplicate node id {node.node_id}")
         self.nodes[node.node_id] = node
-        node._alive_listener = self._on_alive_changed
+        node._alive_listener = weakref.WeakMethod(self._on_alive_changed)
         self._alive_ids = None
 
     def _on_alive_changed(self, node_id: int, alive: bool) -> None:
@@ -449,16 +451,24 @@ class CycleEngine:
     # the cycle loop                                                      #
     # ------------------------------------------------------------------ #
 
+    @collector_paused()
     def run(self, n_cycles: int) -> None:
-        """Advance the simulation by *n_cycles* cycles."""
+        """Advance the simulation by *n_cycles* cycles.
+
+        The cycles run with automatic cyclic collection paused
+        (:mod:`repro.utils.runtime`): the loop creates no reference
+        cycles, so reference counting frees everything it drops.
+        """
         for _ in range(n_cycles):
             self._run_cycle()
 
+    @collector_paused()
     def run_until_drained(self, max_extra: int = 200) -> int:
         """Run past the schedule until no item messages remain in flight.
 
         Returns the number of extra cycles executed.  Used by experiments to
-        let dissemination complete after the last publication.
+        let dissemination complete after the last publication.  Paused like
+        :meth:`run`.
         """
         extra = 0
         while extra < max_extra:

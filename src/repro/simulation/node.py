@@ -46,11 +46,11 @@ class BaseNode(ABC):
     def __getstate__(self) -> dict:
         """Serialize every slot across the class hierarchy but the engine hook.
 
-        ``_alive_listener`` is a bound method of the owning engine; keeping
-        it would drag the entire engine (and with it every other node)
-        into any pickle of a single node.  The receiving engine re-arms
-        the hook when the node is registered (shard workers, mid-run
-        joins).
+        ``_alive_listener`` is a weak reference to a bound method of the
+        owning engine — process-local, and it would name the entire
+        engine (and with it every other node) in any pickle of a single
+        node.  The receiving engine re-arms the hook when the node is
+        registered (shard workers, mid-run joins).
         """
         state = {}
         for klass in type(self).__mro__:
@@ -78,10 +78,14 @@ class BaseNode(ABC):
             return
         self._alive = value
         # the engine hooks this to keep its alive-id cache coherent no
-        # matter who flips the flag (churn models, tests, experiments)
+        # matter who flips the flag (churn models, tests, experiments);
+        # the hook is weak so engine and nodes form no reference cycle and
+        # a dropped system is freed without the cyclic collector
         listener = self._alive_listener
         if listener is not None:
-            listener(self.node_id, value)
+            notify = listener()
+            if notify is not None:
+                notify(self.node_id, value)
 
     @abstractmethod
     def begin_cycle(self, engine: "CycleEngine", now: int) -> None:

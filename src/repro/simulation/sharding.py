@@ -132,6 +132,7 @@ from repro.simulation.wire import (
 )
 from repro.utils.exceptions import SimulationError
 from repro.utils.rng import RngStreams, spawn_generator
+from repro.utils.runtime import collect_garbage, collector_paused, freeze_inherited
 
 __all__ = [
     "shard_count",
@@ -1489,6 +1490,10 @@ class _ShardWorker:
                                 "dup_chunks": links.dup_chunks,
                                 **self._seconds,
                                 "decode_s": self.engine.decode_s,
+                                # the whole worker runs paused, so this
+                                # collection finds every unreachable
+                                # reference cycle left since the last report
+                                "cyclic_garbage": collect_garbage(),
                                 "wire": {
                                     "tier": wire_tier(),
                                     **wire.as_dict(),
@@ -1520,7 +1525,12 @@ def _worker_main(
     for conn in close_conns:
         with suppress(OSError):  # already closed
             conn.close()
-    _ShardWorker(shard, n_shards, ctrl, peer_conns).serve()
+    # a worker is a simulation process: it works on the state it unpickles,
+    # none of which is cyclic, so it never runs the cyclic collector
+    # (repro.utils.runtime); the parent's heap it inherited is left out too
+    freeze_inherited()
+    with collector_paused():
+        _ShardWorker(shard, n_shards, ctrl, peer_conns).serve()
 
 
 # --------------------------------------------------------------------------- #
@@ -2258,12 +2268,15 @@ class ShardedCycleEngine:
 
     # -- state adoption ------------------------------------------------------ #
 
+    @collector_paused()
     def collect(self) -> None:
         """Adopt the workers' node state, traffic counters and event logs.
 
         Per-worker logs/stats merge in shard order; node objects replace
         the parent's stale copies under their original insertion order.
-        Idempotent between runs.
+        Idempotent between runs.  Runs with automatic cyclic collection
+        paused (:mod:`repro.utils.runtime`): unpickling the population
+        allocates much and frees nothing cyclic.
         """
         replies = self._broadcast(("collect",), "state")
         stats = TrafficStats()
@@ -2335,6 +2348,10 @@ class ShardedCycleEngine:
         :class:`~repro.network.stats.WireStats` of the shard's outgoing
         link codecs (frame bytes per encoding tier, profile crossings by
         representation).  The seconds restart with a respawned worker.
+        ``cyclic_garbage`` is what one full collection in the worker finds
+        now — everything unreachable and cyclic its work left since the
+        previous report, as the worker never collects on its own
+        (:mod:`repro.utils.runtime`); zero for the stock protocol.
         """
         return [
             msg[1] for msg in self._broadcast(("link_stats",), "link_stats")

@@ -7,6 +7,8 @@ This subpackage holds infrastructure that every other layer relies on:
   mirroring the hash identifiers the paper describes in Section II-A;
 * :mod:`repro.utils.rng` — deterministic random-stream management so that
   every experiment is reproducible from a single integer seed;
+* :mod:`repro.utils.runtime` — the runtime policy: which phases run with
+  the cyclic collector paused (the only module that touches :mod:`gc`);
 * :mod:`repro.utils.tables` — plain-text table rendering used by the
   experiment harness to print paper-style result tables;
 * :mod:`repro.utils.validation` — small argument-checking helpers shared by

@@ -2,10 +2,12 @@
 """Declared-exempt usages: none of these may produce findings.
 
 The lint-pack test injects a Contracts instance that names this file as
-the gate registry, a wall-clock module, and a mailbox module all at once,
-so every call below sits inside its sanctioned scope.
+the gate registry, a wall-clock module, a mailbox module and the
+collector's owner all at once, so every call below sits inside its
+sanctioned scope.
 """
 
+import gc
 import os
 import pickle
 import time
@@ -21,3 +23,7 @@ def wall_clock() -> float:
 
 def mailbox_decode(blob: bytes):
     return pickle.loads(blob)
+
+
+def collector_owner() -> bool:
+    return gc.isenabled()

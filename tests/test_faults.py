@@ -24,7 +24,6 @@ import multiprocessing
 import os
 import signal
 import threading
-import time
 import warnings as _warnings
 import zlib
 
@@ -380,7 +379,7 @@ def _shm_entries() -> set:
 
 
 def test_sigkill_mid_run_recovers_and_leaks_nothing(dataset, monkeypatch):
-    """A worker SIGKILLed mid-cycle: run completes, nothing leaks."""
+    """A worker SIGKILLed mid-run: run completes, nothing leaks."""
     monkeypatch.setenv("REPRO_SHARD_RECOVERY", "restore")
     before = _shm_entries()
     with _warnings.catch_warnings():
@@ -390,13 +389,16 @@ def test_sigkill_mid_run_recovers_and_leaks_nothing(dataset, monkeypatch):
             engine = system.engine
             assert isinstance(engine, ShardedCycleEngine)
             victim = engine._procs[2]
-            killer = threading.Thread(
-                target=lambda: (time.sleep(0.3), os.kill(victim.pid, signal.SIGKILL))
-            )
-            killer.start()
+
+            # killed after cycle 3 by the run's own clock, not a wall-clock
+            # timer a fast run can outlive
+            def kill_after_cycle_3(_engine, cycle):
+                if cycle == 3:
+                    os.kill(victim.pid, signal.SIGKILL)
+
+            engine.add_observer(kill_after_cycle_3)
             try:
                 system.run(cycles=20, drain=False)
-                killer.join()
                 stats = system.fault_stats()
                 assert stats["worker_deaths"] >= 1
                 assert stats["recoveries"] >= 1
@@ -404,7 +406,6 @@ def test_sigkill_mid_run_recovers_and_leaks_nothing(dataset, monkeypatch):
                 assert stats["checkpoint_bytes"] > 0
                 assert system.engine.now == 20
             finally:
-                killer.join()
                 system.close()
     assert _shm_entries() - before == set()
 

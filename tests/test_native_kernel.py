@@ -318,6 +318,43 @@ class TestDispatchIntegration:
                 assert kernel() is None
 
 
+class TestBuildStamp:
+    """A build whose stamp no longer matches its sources is never trusted."""
+
+    @pytest.fixture
+    def stale(self, monkeypatch):
+        """A faked stale stamp, a fresh load memo and a recording builder."""
+        import repro._native as native
+        from repro._native import build_native
+
+        if native._probe() != "fresh":
+            pytest.skip("no freshly built extension to fake stale")
+        monkeypatch.setattr(build_native, "source_digest", lambda: "0" * 64)
+        monkeypatch.setattr(native, "_loaded", native._UNSET)
+        builds: list[bool] = []
+        # records the rebuild request and reports it failed: nothing is built
+        monkeypatch.setattr(
+            build_native, "build_inplace", lambda verbose=False: builds.append(verbose)
+        )
+        return native, builds
+
+    def test_stale_build_is_unavailable_with_one_warning(self, stale):
+        native, builds = stale
+        with pytest.warns(RuntimeWarning) as record:
+            assert native.load() is None
+            assert not native_available()
+            assert kernel() is None
+        rebuild = "python -m repro._native.build_native"
+        stale_warnings = [w for w in record if rebuild in str(w.message)]
+        assert len(stale_warnings) == 1
+        assert builds == []
+
+    def test_ensure_built_rebuilds_a_stale_build(self, stale):
+        native, builds = stale
+        assert native.ensure_built() is None
+        assert builds == [False]
+
+
 class TestStatePlaneKernels:
     """The ArrayView bookkeeping kernels vs their Python equivalents."""
 

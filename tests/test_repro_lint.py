@@ -29,6 +29,7 @@ FIXTURE_CONTRACTS = replace(
     gate_registry_module="tests/lint_fixtures/fixture_exempt.py",
     wall_clock_modules=("tests/lint_fixtures/fixture_exempt.py",),
     mailbox_modules=("tests/lint_fixtures/fixture_exempt.py",),
+    collector_module="tests/lint_fixtures/fixture_exempt.py",
     wire_registry_module="tests/lint_fixtures/fixture_rl007_wire.py",
     wire_message_modules=("tests/lint_fixtures/fixture_rl007.py",),
     pickle_safe_classes={
@@ -71,7 +72,7 @@ def test_fixtures_report_exactly_the_seeded_findings():
 
 def test_every_rule_is_exercised_by_a_fixture():
     rules = {rule for _, rule, _ in _expected_seeds()}
-    assert rules == {f"RL{n:03d}" for n in range(9)}
+    assert rules == {f"RL{n:03d}" for n in range(10)}
 
 
 def test_exempt_fixture_stays_clean():
@@ -128,7 +129,7 @@ def test_cli_lists_every_rule(capsys):
     rc = main(["--list-rules"])
     out = capsys.readouterr().out
     assert rc == 0
-    for number in range(9):
+    for number in range(10):
         assert f"RL{number:03d}" in out
 
 

@@ -5,7 +5,7 @@ equivalence suites (and memory) enforced: RNG flows through seeded
 streams, ``REPRO_*`` gates through one registry, pickled objects drop
 process-local caches, cffi kernels receive cached addresses, iteration
 orders stay deterministic.  This package checks those contracts *at diff
-time* with ~8 custom AST rules:
+time* with ~9 custom AST rules:
 
 ========  ==============================================================
 RL001     no stdlib ``random`` / hidden-global ``numpy.random`` draws /
@@ -28,6 +28,8 @@ RL007     every NamedTuple in a wire-visible module is declared in
           ``simulation.wire``'s ``WIRE_MESSAGE_REGISTRY`` codec table
 RL008     no unpickling (``pickle.loads``/``load``/``Unpickler``)
           outside the declared mailbox/checkpoint modules
+RL009     no ``import gc`` / ``gc.*()`` call outside the declared
+          runtime-policy module (:mod:`repro.utils.runtime`)
 RL000     suppression hygiene: every inline suppression carries a
           non-empty reason
 ========  ==============================================================

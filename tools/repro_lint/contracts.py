@@ -97,6 +97,10 @@ class Contracts:
         "src/repro/simulation/wire.py",
     )
 
+    #: the only module allowed to import or call :mod:`gc` — the runtime
+    #: policy's single owner (RL009)
+    collector_module: str = "src/repro/utils/runtime.py"
+
     #: directory names skipped while recursing into lint roots (explicitly
     #: named paths are always scanned)
     exclude_dirs: tuple[str, ...] = (

@@ -542,7 +542,46 @@ def rl008(project: Project) -> list[Finding]:
     return findings
 
 
-ALL_RULES = [rl001, rl002, rl003, rl004, rl005, rl006, rl007, rl008]
+# --------------------------------------------------------------------------- #
+# RL009 — the cyclic collector has one owner                                  #
+# --------------------------------------------------------------------------- #
+
+
+def rl009(project: Project) -> list[Finding]:
+    """gc import or call outside the runtime-policy module"""
+    findings: list[Finding] = []
+    owner = project.contracts.collector_module
+    for ctx in project.contexts:
+        if not ctx.is_src or ctx.matches(owner):
+            continue
+        for node in ast.walk(ctx.tree):
+            bad: str | None = None
+            if isinstance(node, ast.Import) and any(
+                alias.name == "gc" for alias in node.names
+            ):
+                bad = "import gc"
+            elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+                bad = "from gc import"
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and _is_name(node.func.value, "gc")
+            ):
+                bad = f"gc.{node.func.attr}()"
+            if bad is not None:
+                findings.append(
+                    _finding(
+                        "RL009",
+                        ctx,
+                        node,
+                        f"{bad} outside {owner}; the collector policy has one "
+                        "owner — use repro.utils.runtime",
+                    )
+                )
+    return findings
+
+
+ALL_RULES = [rl001, rl002, rl003, rl004, rl005, rl006, rl007, rl008, rl009]
 
 
 def rule_table() -> str:
